@@ -191,9 +191,9 @@ def _cmd_fit(args) -> None:
         }
     elif args.scenario is not None:
         scenario = _scenario_from_args(args)
-        measures = simulate_scenario(scenario, args.n, args.seed)
         if isinstance(scenario, TailScenarioSpec):
             raise ValueError("use --input or the simulate subcommand for tail studies")
+        measures = simulate_scenario(scenario, args.n, args.seed)
         if isinstance(scenario, ExpGammaSpec):
             family = ExponentialRate()
         else:

@@ -7,9 +7,23 @@ gamma-kernel measures under the exponential family and normal-kernel
 measures under the normal-location family; everything else falls back to
 central finite differences of W.
 
-Homogeneous samples (all measures sharing one of the registered shapes)
-are evaluated through vectorized numpy expressions, which keeps large
-simulation studies fast without changing any contract.
+A fit evaluates the summed loss along one of three paths, chosen once per
+sample:
+
+- closed-form profile: a homogeneous sample (all atoms, all unrestricted
+  gamma kernels under the exponential family, or all normal kernels under
+  the normal-location family) is evaluated by vectorized numpy
+  expressions, with no quadrature;
+- compiled panel rule: any other sample is compiled on the first loss
+  evaluation into a ``PanelRule``, which holds its quadrature panels for
+  the rest of the fit and integrates every measure in one batched density
+  call per c, checking each component against the adaptive tolerance at
+  every c and refining it where the check fails;
+- per-measure adaptive fallback: measures holding a CDF ramp whose domain
+  cut depends on c (a family and a kernel both unbounded below) go through
+  ``integrate`` at every c.
+
+On the last two paths gradients are per measure (``z_value``).
 """
 
 from __future__ import annotations
@@ -25,6 +39,7 @@ from .measure import (
     DiracAtom,
     GammaKernel,
     NormalKernel,
+    PanelRule,
     RandomMeasure,
     WeightedDensity,
     integrate,
@@ -185,6 +200,7 @@ class _SampleEvaluator:
         self.config = config
         self.n = len(measures)
         self._profile = self._build_profile()
+        self._rule: PanelRule | None = None  # compiled on the first generic w_values
 
     def _build_profile(self):
         family = self.family
@@ -240,9 +256,10 @@ class _SampleEvaluator:
     def w_values(self, c: float) -> np.ndarray:
         self.family.check_param(c)
         if self._profile is None:
-            return np.array(
-                [w_value(self.family, c, m, self.quad) for m in self.measures]
-            )
+            if self._rule is None:
+                self._rule = PanelRule(self.family, self.measures, self.quad)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return -np.log(np.maximum(self._rule.integrals(c), 0.0))
         kind, data = self._profile
         if kind == "dirac":
             with np.errstate(divide="ignore"):
@@ -377,11 +394,27 @@ def _scan_bracket(f, lo: float, hi: float, positive_domain: bool, points: int = 
     return grid[max(best - 1, 0)], grid[min(best + 1, points - 1)], points
 
 
-def _expand_to_sign_change(g, a: float, b: float, family, max_expand: int = 60):
-    """Geometric bracket growth toward the domain boundary until g changes sign."""
+def _expand_to_sign_change(g, a: float, b: float, family, valley,
+                           max_expand: int = 60):
+    """Geometric bracket growth toward the domain boundary until g changes sign.
+
+    Where g is undefined (FitError) or not finite at either starting end, as
+    when the loss underflows there, the growth starts instead from
+    ``valley(a, b)``, a sub-bracket around the finite valley of the loss,
+    narrowed again until g is finite at both of its ends.
+    """
     dom_lo, dom_hi = family.param_bounds
     positive = dom_lo >= 0.0
-    g_a, g_b = g(a), g(b)
+    for _ in range(max_expand):
+        try:
+            g_a, g_b = g(a), g(b)
+        except FitError:
+            g_a = g_b = math.nan
+        if math.isfinite(g_a) and math.isfinite(g_b):
+            break
+        a, b = valley(a, b)
+    else:
+        raise FitError(f"estimating equation is not finite at both ends of ({a:g}, {b:g})")
     for _ in range(max_expand):
         if math.isfinite(g_a) and math.isfinite(g_b) and g_a * g_b <= 0:
             return a, b
@@ -418,11 +451,10 @@ def fit(family, sample: Sample, config: OptimizerConfig = DEFAULT_CONFIG,
         raise ValueError("sample must contain at least one measure")
     evaluator = _SampleEvaluator(family, measures, quad, config)
     bracket = _clip_bracket(family, config.bracket or family.default_bracket())
+    positive = family.param_bounds[0] >= 0
 
     if method == "minimize":
-        lo, hi, scan_evals = _scan_bracket(
-            evaluator.sum_w, bracket[0], bracket[1], family.param_bounds[0] >= 0
-        )
+        lo, hi, scan_evals = _scan_bracket(evaluator.sum_w, bracket[0], bracket[1], positive)
         estimate, objective, iterations, converged = _brent_minimize(
             evaluator.sum_w, lo, hi,
             rel_tol=config.param_tol, abs_tol=config.param_tol * 1e-2,
@@ -432,7 +464,9 @@ def fit(family, sample: Sample, config: OptimizerConfig = DEFAULT_CONFIG,
         if not math.isfinite(objective):
             raise FitError("objective is infinite over the search bracket")
     elif method == "zroot":
-        a, b = _expand_to_sign_change(evaluator.sum_z, bracket[0], bracket[1], family)
+        valley = lambda lo, hi: _scan_bracket(evaluator.sum_w, lo, hi, positive)[:2]
+        a, b = _expand_to_sign_change(evaluator.sum_z, bracket[0], bracket[1], family,
+                                      valley)
         estimate, results = optimize.brentq(
             evaluator.sum_z, a, b, xtol=config.param_tol, rtol=4 * np.finfo(float).eps,
             maxiter=config.max_iter, full_output=True,

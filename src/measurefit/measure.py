@@ -15,7 +15,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .quadrature import DEFAULT_QUAD, QuadratureSpec, domain_knots, integrate_panels
+from .quadrature import (
+    DEFAULT_QUAD,
+    QuadratureError,
+    QuadratureSpec,
+    domain_knots,
+    gauss_rule,
+    integrate_panels,
+    refine_panels,
+)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -321,17 +329,49 @@ def make_gamma_bridge(paid: float, ultimate: float, sigma2: float,
 # integration
 
 
-def _density_component_integral(family, c: float, comp: WeightedDensity,
-                                quad: QuadratureSpec) -> float:
+def _kernel_knots(kernel: Kernel, lo: float, quad: QuadratureSpec) -> np.ndarray | None:
+    """Panel knots on [lo, hi], hi where the kernel keeps ``tail_mass`` above; None if empty."""
+    hi = float(kernel.ppf(1.0 - quad.tail_mass))
+    if not hi > lo:
+        return None
+    return domain_knots(lo, hi, kernel.ppf)
+
+
+def density_knots(family, comp: WeightedDensity, quad: QuadratureSpec) -> np.ndarray | None:
+    """Panel knots of a density component's truncated domain; None when it is empty.
+
+    The domain is cut where the kernel keeps less than ``tail_mass`` outside,
+    so it does not depend on the family parameter.
+    """
     kernel = comp.kernel
     lo = max(family.support_lower, kernel.support_lower)
     if comp.lower is not None:
         lo = max(lo, comp.lower)
     lo = max(lo, float(kernel.ppf(quad.tail_mass)))
-    hi = float(kernel.ppf(1.0 - quad.tail_mass))
-    if not hi > lo:
+    return _kernel_knots(kernel, lo, quad)
+
+
+def ramp_domain(family, comp: CdfRamp, quad: QuadratureSpec, c: float | None = None):
+    """Lower cut and panel knots (None when empty) of a ramp's truncated domain.
+
+    The cut is the larger of the family and kernel support bounds. Only when
+    both are unbounded below does it depend on the parameter: it is then the
+    family's low cutoff at ``c``, and with ``c`` None the result is None.
+    """
+    lo = max(family.support_lower, comp.kernel.support_lower)
+    if lo == -math.inf:
+        if c is None:
+            return None
+        lo = family.low_cutoff(c, quad.tail_mass)
+    return lo, _kernel_knots(comp.kernel, lo, quad)
+
+
+def _density_component_integral(family, c: float, comp: WeightedDensity,
+                                quad: QuadratureSpec) -> float:
+    knots = density_knots(family, comp, quad)
+    if knots is None:
         return 0.0
-    knots = domain_knots(lo, hi, kernel.ppf)
+    kernel = comp.kernel
     integrand = lambda x: family.density(c, x) * kernel.pdf(x)
     return comp.weight * integrate_panels(integrand, knots, quad)
 
@@ -341,15 +381,11 @@ def _ramp_component_integral(family, c: float, comp: CdfRamp,
     # integral of f_c * G == survival of the family at the cut minus the
     # integral of f_c * (1 - G); the second factor decays like the kernel
     # survival, which makes the domain truncatable.
-    kernel = comp.kernel
-    lo = max(family.support_lower, kernel.support_lower)
-    if lo == -math.inf:
-        lo = family.low_cutoff(c, quad.tail_mass)
-    hi = float(kernel.ppf(1.0 - quad.tail_mass))
+    lo, knots = ramp_domain(family, comp, quad, c)
     base = float(family.survival(c, lo))
-    if not hi > lo:
+    if knots is None:
         return base
-    knots = domain_knots(lo, hi, kernel.ppf)
+    kernel = comp.kernel
     integrand = lambda x: family.density(c, x) * kernel.sf(x)
     return base - integrate_panels(integrand, knots, quad)
 
@@ -379,3 +415,154 @@ def integrate(family, c: float, measure: RandomMeasure,
         else:
             raise TypeError(f"unknown measure component {comp!r}")
     return value
+
+
+# ---------------------------------------------------------------------------
+# compiled integration: one sample, many parameter values
+
+
+class PanelRule:
+    """The measures of one sample compiled for integration at many c.
+
+    Within a fit the measures do not depend on the parameter, only the family
+    density does. So each distinct measure is compiled once: atoms become
+    nodes, constant tails and ramp cuts become survival terms, and each
+    density or ramp component becomes quadrature panels whose 21- and
+    10-point Gauss nodes carry c-free weights (Gauss weight times kernel pdf
+    for densities, times kernel sf for ramps). ``integrals(c)`` then costs
+    one family density call on all nodes.
+
+    At every c each component's integral is accepted only under the rule of
+    ``refine_panels``: summed error ``|high - low|`` within
+    ``max(abs_tol, rel_tol * |integral|)``. A component that fails is
+    bisected by ``refine_panels`` from its current panels, with the same
+    budget and errors, and keeps its refined panels for later c. A measure
+    holding a ramp whose cut depends on c is integrated by ``integrate``.
+    """
+
+    def __init__(self, family, measures, quad: QuadratureSpec = DEFAULT_QUAD) -> None:
+        self.family = family
+        self.quad = quad
+        # a measure repeated in the sample (a bootstrap resample) is compiled once
+        slots: dict[int, int] = {}
+        unique: list[RandomMeasure] = []
+        for m in measures:
+            if id(m) not in slots:
+                slots[id(m)] = len(unique)
+                unique.append(m)
+        self._slot_of = np.array([slots[id(m)] for m in measures], dtype=np.intp)
+        self._n_slots = len(unique)
+        atoms, tails, comps = [], [], []
+        self._fallback: list[tuple[int, RandomMeasure]] = []
+        for slot, measure in enumerate(unique):
+            parts = self._compile(measure, slot)
+            if parts is None:
+                self._fallback.append((slot, measure))
+                continue
+            atoms += parts[0]
+            tails += parts[1]
+            comps += parts[2]
+        self._atom_x = np.array([x for _, x in atoms], dtype=float)
+        self._tail_lower = np.array([x for _, x, _ in tails], dtype=float)
+        self._tail_height = np.array([h for _, _, h in tails], dtype=float)
+        self._scale = np.array([w for _, w, _, _ in comps], dtype=float)
+        self._weight_fns = [g for _, _, g, _ in comps]
+        # owners of the terms integrals() sums: atoms, survival terms, components
+        self._owner = np.array([t[0] for t in atoms + tails + comps], dtype=np.intp)
+        self._pack([self._component_rule(g, k[:-1], k[1:]) for _, _, g, k in comps])
+
+    def _compile(self, measure: RandomMeasure, slot: int):
+        """Atoms, survival terms and panel components of one measure; None to fall back."""
+        family, quad = self.family, self.quad
+        atoms, tails, comps = [], [], []
+        for comp in measure.components:
+            if isinstance(comp, DiracAtom):
+                atoms.append((slot, comp.location))
+            elif isinstance(comp, ConstantTail):
+                if comp.height > 0:
+                    tails.append((slot, comp.lower, comp.height))
+            elif isinstance(comp, WeightedDensity):
+                if comp.weight > 0:
+                    knots = density_knots(family, comp, quad)
+                    if knots is not None:
+                        comps.append((slot, comp.weight, comp.kernel.pdf, knots))
+            elif isinstance(comp, CdfRamp):
+                domain = ramp_domain(family, comp, quad)
+                if domain is None:
+                    return None
+                lo, knots = domain
+                tails.append((slot, lo, 1.0))
+                if knots is not None:
+                    comps.append((slot, -1.0, comp.kernel.sf, knots))
+            else:
+                raise TypeError(f"unknown measure component {comp!r}")
+        return atoms, tails, comps
+
+    @staticmethod
+    def _component_rule(weight_fn, lo: np.ndarray, hi: np.ndarray):
+        """Panels, Gauss nodes and c-free weights of one component."""
+        x_high, w_high, x_low, w_low = gauss_rule(lo, hi)
+        return lo, hi, x_high, w_high * weight_fn(x_high), x_low, w_low * weight_fn(x_low)
+
+    def _pack(self, rules) -> None:
+        """Concatenate the components' rules into the flat arrays ``integrals`` reads."""
+        empty = np.empty(0)
+        lo, hi, x_high, w_high, x_low, w_low = (
+            np.concatenate(col) for col in zip((empty, empty, *gauss_rule(empty, empty)),
+                                               *rules))
+        self._starts = np.cumsum([0] + [len(r[0]) for r in rules], dtype=np.intp)[:-1]
+        self._lo, self._hi, self._w_high, self._w_low = lo, hi, w_high, w_low
+        # one node array for one density call: atoms, then high and low rule nodes
+        self._nodes = np.concatenate([self._atom_x, x_high.ravel(), x_low.ravel()])
+        split = len(self._atom_x) + w_high.size
+        self._high, self._low = slice(len(self._atom_x), split), slice(split, None)
+
+    @property
+    def panels(self) -> int:
+        """Number of quadrature panels currently compiled."""
+        return len(self._lo)
+
+    def integrals(self, c: float) -> np.ndarray:
+        """Integral of the family density against each measure, in sample order."""
+        family, quad = self.family, self.quad
+        family.check_param(c)
+        dens = family.density(c, self._nodes)
+        high = (dens[self._high].reshape(self._w_high.shape) * self._w_high).sum(axis=1)
+        low = (dens[self._low].reshape(self._w_low.shape) * self._w_low).sum(axis=1)
+        err = np.abs(high - low)
+        totals = np.add.reduceat(high, self._starts)
+        errors = np.add.reduceat(err, self._starts)
+        tols = np.maximum(quad.abs_tol, quad.rel_tol * np.abs(totals))
+        failing = np.isfinite(errors) & (errors > tols)
+        if not np.isfinite(totals[~failing]).all():
+            raise QuadratureError("integrand produced non-finite values")
+        if failing.any():
+            totals = self._refine(c, np.flatnonzero(failing), totals, high, err)
+        terms = np.concatenate([
+            dens[:len(self._atom_x)],
+            self._tail_height * family.survival(c, self._tail_lower),
+            self._scale * totals,
+        ])
+        values = np.bincount(self._owner, terms, minlength=self._n_slots)
+        for slot, measure in self._fallback:
+            values[slot] = integrate(family, c, measure, quad)
+        return values[self._slot_of]
+
+    def _refine(self, c: float, failing: np.ndarray, totals: np.ndarray,
+                high: np.ndarray, err: np.ndarray) -> np.ndarray:
+        """Bisect the failing components at c, then pack all panels once."""
+        family = self.family
+        x_high = self._nodes[self._high].reshape(self._w_high.shape)
+        x_low = self._nodes[self._low].reshape(self._w_low.shape)
+        ends = np.append(self._starts[1:], len(self._lo))
+        rules = [(self._lo[s:e], self._hi[s:e], x_high[s:e], self._w_high[s:e],
+                  x_low[s:e], self._w_low[s:e]) for s, e in zip(self._starts, ends)]
+        totals = totals.copy()
+        for k in failing:
+            g, s, e = self._weight_fns[k], self._starts[k], ends[k]
+            integrand = lambda x: family.density(c, x) * g(x)
+            totals[k], lo, hi = refine_panels(integrand, self._lo[s:e], self._hi[s:e],
+                                              self.quad, (high[s:e], err[s:e]))
+            rules[k] = self._component_rule(g, lo, hi)
+        self._pack(rules)
+        return totals

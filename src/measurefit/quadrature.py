@@ -48,28 +48,38 @@ class QuadratureSpec:
 DEFAULT_QUAD = QuadratureSpec()
 
 
+def gauss_rule(lo: np.ndarray, hi: np.ndarray):
+    """Nodes and weights of the 21- and 10-point Gauss rules on panels [lo_i, hi_i].
+
+    Returns ``(x_high, w_high, x_low, w_low)`` with one row per panel; a
+    panel's two estimates of the integral of f are ``(f(x) * w).sum(axis=1)``.
+    """
+    mid = 0.5 * (lo + hi)[:, None]
+    half = 0.5 * (hi - lo)[:, None]
+    return mid + half * _X_HIGH, half * _W_HIGH, mid + half * _X_LOW, half * _W_LOW
+
+
 def _panel_estimates(f, lo: np.ndarray, hi: np.ndarray):
     """High-order value and error estimate for each panel [lo_i, hi_i]."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    vals_high = half * (f(mid[:, None] + half[:, None] * _X_HIGH) * _W_HIGH).sum(axis=1)
-    vals_low = half * (f(mid[:, None] + half[:, None] * _X_LOW) * _W_LOW).sum(axis=1)
+    x_high, w_high, x_low, w_low = gauss_rule(lo, hi)
+    vals_high = (f(x_high) * w_high).sum(axis=1)
+    vals_low = (f(x_low) * w_low).sum(axis=1)
     return vals_high, np.abs(vals_high - vals_low)
 
 
-def integrate_panels(f, knots, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """Integrate a vectorized integrand over [knots[0], knots[-1]].
+def refine_panels(f, lo: np.ndarray, hi: np.ndarray, spec: QuadratureSpec,
+                  estimates=None):
+    """Bisect the panels [lo_i, hi_i] until the summed error meets the tolerance.
 
-    ``knots`` pre-split the domain wherever the integrand is expected to
-    change scale (kernel quantiles, edge refinements). Raises
-    QuadratureError when the subdivision budget runs out, rather than
-    returning a silently inaccurate value.
+    The integral over the panels is accepted when the summed error estimate
+    ``|high - low|`` is at most ``max(abs_tol, rel_tol * |integral|)``.
+    ``estimates`` are the panels' values and errors from ``_panel_estimates``
+    when the caller already has them. Returns the integral with the final
+    panels ``(lo, hi)``. Raises QuadratureError when the subdivision budget
+    runs out, the error estimate stalls, or the integrand is not finite,
+    rather than returning a silently inaccurate value.
     """
-    knots = np.unique(np.asarray(knots, dtype=float))
-    if knots.size < 2:
-        return 0.0
-    lo, hi = knots[:-1], knots[1:]
-    vals, errs = _panel_estimates(f, lo, hi)
+    vals, errs = _panel_estimates(f, lo, hi) if estimates is None else estimates
     used = 0
     stalls = 0
     prev_err = math.inf
@@ -80,7 +90,7 @@ def integrate_panels(f, knots, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
         if err <= tol or not np.isfinite(err):
             if not np.isfinite(total):
                 raise QuadratureError("integrand produced non-finite values")
-            return float(total)
+            return float(total), lo, hi
         stalls = stalls + 1 if err > 0.9 * prev_err else 0
         prev_err = err
         if stalls >= 3:
@@ -108,6 +118,19 @@ def integrate_panels(f, knots, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
         vals = np.concatenate([vals[~bad], new_vals])
         errs = np.concatenate([errs[~bad], new_errs])
         lo, hi = new_lo, new_hi
+
+
+def integrate_panels(f, knots, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+    """Integrate a vectorized integrand over [knots[0], knots[-1]].
+
+    ``knots`` pre-split the domain wherever the integrand is expected to
+    change scale (kernel quantiles, edge refinements); ``refine_panels``
+    bisects them to the tolerance.
+    """
+    knots = np.unique(np.asarray(knots, dtype=float))
+    if knots.size < 2:
+        return 0.0
+    return refine_panels(f, knots[:-1], knots[1:], spec)[0]
 
 
 _QUANTILE_LADDER = np.array(

@@ -67,8 +67,11 @@ def load_claims(path, scale: float = 1.0) -> LoadResult:
 
     Monetary columns are divided by ``scale``. Rows violating the record
     invariants are rejected with line-level diagnostics rather than
-    aborting the load; an empty or malformed file raises.
+    aborting the load; an empty or malformed file, or a ``scale`` that is not
+    positive and finite, raises.
     """
+    if not (scale > 0 and math.isfinite(scale)):
+        raise ValueError(f"scale must be positive and finite, got {scale!r}")
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)

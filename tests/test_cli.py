@@ -72,6 +72,20 @@ def test_fit_scenario_mode(tmp_path):
     assert payload["v_hat"] > 0
 
 
+def test_fit_tail_scenario_rejected_before_drawing(tmp_path, capsys, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the tail scenario was drawn before it was rejected")
+
+    monkeypatch.setattr("measurefit.cli.simulate_scenario", no_draw)
+    out = tmp_path / "fit.json"
+    assert invoke(["fit", "--scenario", "tail", "--n", 400, "--seed", 3,
+                   "--out", out]) == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "ValueError"
+    assert "tail studies" in payload["message"]
+    assert not out.exists()
+
+
 def test_surface_sigma_kind_monotone(tmp_path):
     out = tmp_path / "surf.csv"
     assert invoke(["surface", "--kind", "sigma", "--xi0", 0.5,

@@ -23,12 +23,14 @@ from measurefit import (
     generalized_loglik,
     make_dirac,
     make_gamma_bridge,
+    make_measurement_uncertainty,
     make_right_censoring,
     per_point_loglik,
     sandwich,
     w_value,
     z_value,
 )
+from measurefit.tailstudy import build_bridge_sample, synthesize_claims
 
 
 def gamma_measure(x, s2):
@@ -189,6 +191,42 @@ def test_fit_zroot_expands_bracket(exp_family):
     config = OptimizerConfig(bracket=(50.0, 90.0))  # root is at 0.5, far below
     res = fit(exp_family, sample, config=config, method="zroot")
     assert res.estimate == pytest.approx(0.5, abs=1e-9)
+
+
+def _claims_bridge_sample(seed):
+    records = synthesize_claims(837, 1.5, 1.0, 1.4938, 0.1, seed=seed)
+    return build_bridge_sample(records, 69, 0.5, "A")
+
+
+def _normal_ramp_sample(seed):
+    # right-censored normal data with a normal expert spread: settled values
+    # give densities, open ones CDF ramps
+    rng = np.random.default_rng(seed)
+    x = 1.0 + rng.standard_normal(50)
+    cut = 1.5 + rng.standard_normal(50)
+    measures = [make_measurement_uncertainty(NormalKernel(float(u), 0.5), int(s))
+                for u, s in zip(np.minimum(x, cut), x <= cut)]
+    return NormalLocation(1.0), measures
+
+
+@pytest.mark.parametrize("build, seed, bracket", [
+    (_claims_bridge_sample, 1_000_003, (1e-3, 1e3)),
+    (_claims_bridge_sample, 1_000_007, (1e-3, 1e3)),
+    (_normal_ramp_sample, [1, 1], (-10.0, 10.0)),
+    (_normal_ramp_sample, [1, 3], None),
+])
+def test_fit_zroot_where_loss_underflows_at_bracket_ends(build, seed, bracket):
+    # the finite-difference gradient is undefined at a bracket end, so the
+    # root search starts from the finite valley of the loss
+    family, sample = build(seed)
+    config = OptimizerConfig(bracket=bracket)
+    ends = bracket or family.default_bracket()
+    with pytest.raises(FitError):
+        sum(z_value(family, c, m) for c in ends for m in sample)
+    a = fit(family, sample, config, method="minimize", compute_sandwich=False)
+    b = fit(family, sample, config, method="zroot", compute_sandwich=False)
+    assert b.converged
+    assert b.estimate == pytest.approx(a.estimate, rel=1e-7)
 
 
 def test_fit_empty_sample_rejected(exp_family):

@@ -88,6 +88,14 @@ def test_load_claims_bad_header(tmp_path):
         load_claims(path)
 
 
+@pytest.mark.parametrize("scale", [0.0, -1e6, math.nan, math.inf])
+def test_load_claims_rejects_bad_scale(tmp_path, scale):
+    path = tmp_path / "claims.csv"
+    write_claims(path, [("a", 2.0e6, 0, 3.0e6)])
+    with pytest.raises(ValueError, match="scale"):
+        load_claims(path, scale=scale)
+
+
 def test_load_claims_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_claims(tmp_path / "nope.csv")
