@@ -46,6 +46,8 @@ def _parse_grid(text: str) -> list[float]:
     if len(parts) not in (3, 4):
         raise ValueError(f"grid must be lo:hi:steps[:log], got {text!r}")
     lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"grid endpoints must be finite, got {text!r}")
     if steps < 1:
         raise ValueError("grid needs at least one step")
     if len(parts) == 4:

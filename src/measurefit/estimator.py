@@ -1,36 +1,34 @@
 """Generalized maximum likelihood for measure-valued samples.
 
-The per-datapoint loss is W(c) = -log integral(f_c dmu); its parameter
-gradient Z(c) drives both the estimating equation (sum of Z = 0) and the
-sandwich variance. Closed-form gradients are registered for atoms,
-gamma-kernel measures under the exponential family and normal-kernel
-measures under the normal-location family; everything else falls back to
-central finite differences of W.
+The per-datapoint loss is W(c) = -log I(c), I(c) = integral(f_c dmu); its
+parameter gradient Z(c) = -I'(c) / I(c) drives both the estimating equation
+(sum of Z = 0) and the sandwich variance. Z is always the exact derivative
+of the same integral W is computed from.
 
-A fit evaluates the summed loss along one of three paths, chosen once per
-sample:
+A fit evaluates the summed loss and gradient along one of two paths, chosen
+once per sample:
 
 - closed-form profile: a homogeneous sample (all atoms, all unrestricted
   gamma kernels under the exponential family, or all normal kernels under
   the normal-location family) is evaluated by vectorized numpy
-  expressions, with no quadrature;
-- compiled panel rule: any other sample is compiled on the first loss
+  expressions for W and Z, with no quadrature;
+- compiled panel rule: any other sample is compiled on its first
   evaluation into a ``PanelRule``, which holds its quadrature panels for
   the rest of the fit and integrates every measure in one batched density
   call per c, checking each component against the adaptive tolerance at
-  every c and refining it where the check fails;
-- per-measure adaptive fallback: measures holding a CDF ramp whose domain
-  cut depends on c (a family and a kernel both unbounded below) go through
-  ``integrate`` at every c.
+  every c and refining it where the check fails. I'(c) is read off the
+  panels accepted for I(c), so Z needs no further integrals.
 
-On the last two paths gradients are per measure (``z_value``).
+``z_value`` is the one-measure case of the same evaluator; ``integrate``
+stays the per-measure adaptive oracle behind ``w_value``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from operator import attrgetter
+from typing import Sequence
 
 import numpy as np
 from scipy import optimize
@@ -64,8 +62,9 @@ class SingularSlopeError(RuntimeError):
 class OptimizerConfig:
     """Bracket and tolerances for the one-dimensional solvers.
 
-    ``fd_step_rel`` is the relative finite-difference step, scaled by
-    max(|c|, 1) so parameters spanning orders of magnitude behave.
+    The sandwich slope is a central difference with relative step
+    sqrt(``fd_step_rel``), scaled by max(|c|, 1) so parameters spanning
+    orders of magnitude behave.
     """
 
     bracket: tuple[float, float] | None = None
@@ -115,27 +114,6 @@ def w_value(family, c: float, measure: RandomMeasure,
     return -math.log(value)
 
 
-def _analytic_z(family, measure: RandomMeasure) -> Callable[[float], float] | None:
-    """Closed-form gradient of W for the registered measure shapes."""
-    if len(measure.components) != 1:
-        return None
-    comp = measure.components[0]
-    if isinstance(comp, DiracAtom):
-        loc = comp.location
-        return lambda c: -float(family.log_density_grad(c, loc))
-    if isinstance(comp, WeightedDensity) and comp.lower is None and comp.weight > 0:
-        kernel = comp.kernel
-        if isinstance(family, ExponentialRate) and isinstance(kernel, GammaKernel) \
-                and kernel.shift >= 0:
-            a, b, s = kernel.shape, kernel.rate, kernel.shift
-            return lambda c: s + a / (b + c) - 1.0 / c
-        if isinstance(family, NormalLocation) and isinstance(kernel, NormalKernel):
-            s2 = family.sigma1**2 + kernel.sd**2
-            u = kernel.mean
-            return lambda c: (c - u) / s2
-    return None
-
-
 def _fd_step(family, c: float, rel_step: float) -> float:
     h = rel_step * max(abs(c), 1.0)
     lo, hi = family.param_bounds
@@ -149,29 +127,15 @@ def _fd_step(family, c: float, rel_step: float) -> float:
 
 
 def z_value(family, c: float, measure: RandomMeasure,
-            quad: QuadratureSpec = DEFAULT_QUAD,
-            config: OptimizerConfig = DEFAULT_CONFIG) -> float:
-    """Gradient of w_value in the parameter.
-
-    Analytic where a closed form is registered, otherwise central finite
-    differences with a relative step.
-    """
-    family.check_param(c)
-    closed = _analytic_z(family, measure)
-    if closed is not None:
-        return float(closed(c))
-    h = _fd_step(family, c, config.fd_step_rel)
-    w_plus = w_value(family, c + h, measure, quad)
-    w_minus = w_value(family, c - h, measure, quad)
-    if not (math.isfinite(w_plus) and math.isfinite(w_minus)):
-        raise FitError(f"loss is not finite near c = {c}; gradient undefined")
-    return (w_plus - w_minus) / (2.0 * h)
+            quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+    """Gradient of w_value in the parameter, from a one-measure sample evaluator."""
+    return float(_SampleEvaluator(family, [measure], quad).z_values(c)[0])
 
 
 def per_point_loglik(family, c: float, sample: Sample,
                      quad: QuadratureSpec = DEFAULT_QUAD) -> np.ndarray:
     """Log integral term per datapoint (-inf where the integral vanishes)."""
-    evaluator = _SampleEvaluator(family, list(sample), quad, DEFAULT_CONFIG)
+    evaluator = _SampleEvaluator(family, list(sample), quad)
     return -evaluator.w_values(c)
 
 
@@ -186,80 +150,57 @@ def generalized_loglik(family, c: float, sample: Sample,
 
 
 # ---------------------------------------------------------------------------
-# vectorized evaluation of homogeneous samples
+# vectorized evaluation of a sample
 
 
 class _SampleEvaluator:
-    """Sum-of-W / sum-of-Z oracles with a fast path for homogeneous samples."""
+    """Sum-of-W / sum-of-Z oracles: a closed-form profile or a compiled panel rule."""
 
-    def __init__(self, family, measures: list[RandomMeasure],
-                 quad: QuadratureSpec, config: OptimizerConfig) -> None:
+    def __init__(self, family, measures: list[RandomMeasure], quad: QuadratureSpec) -> None:
         self.family = family
         self.measures = measures
         self.quad = quad
-        self.config = config
         self.n = len(measures)
         self._profile = self._build_profile()
-        self._rule: PanelRule | None = None  # compiled on the first generic w_values
+        self._rule: PanelRule | None = None  # compiled on the first generic evaluation
 
     def _build_profile(self):
-        family = self.family
-        first = self.measures[0]
-        if len(first.components) != 1:
+        """Closed-form profile arrays of a homogeneous sample; None when it has none."""
+        family, measures = self.family, self.measures
+        if all(len(m.components) == 1 and isinstance(m.components[0], DiracAtom)
+               for m in measures):
+            return ("dirac", np.array([m.components[0].location for m in measures],
+                                      dtype=float))
+        if isinstance(family, ExponentialRate):
+            kind, kernel_type, fields = "exp_gamma", GammaKernel, ("shape", "rate", "shift")
+        elif isinstance(family, NormalLocation):
+            kind, kernel_type, fields = "normal_normal", NormalKernel, ("mean", "sd")
+        else:
             return None
-        comp0 = first.components[0]
-        if isinstance(comp0, DiracAtom):
-            locs = np.empty(self.n)
-            for i, m in enumerate(self.measures):
-                if len(m.components) != 1 or not isinstance(m.components[0], DiracAtom):
-                    return None
-                locs[i] = m.components[0].location
-            return ("dirac", locs)
-        if not isinstance(comp0, WeightedDensity) or comp0.lower is not None:
-            return None
-        kernel0 = comp0.kernel
-        if isinstance(family, ExponentialRate) and isinstance(kernel0, GammaKernel):
-            shapes = np.empty(self.n)
-            rates = np.empty(self.n)
-            shifts = np.empty(self.n)
-            log_w = np.empty(self.n)
-            for i, m in enumerate(self.measures):
-                if len(m.components) != 1:
-                    return None
-                comp = m.components[0]
-                if not (isinstance(comp, WeightedDensity) and comp.lower is None
-                        and comp.weight > 0 and isinstance(comp.kernel, GammaKernel)
-                        and comp.kernel.shift >= 0):
-                    return None
-                shapes[i] = comp.kernel.shape
-                rates[i] = comp.kernel.rate
-                shifts[i] = comp.kernel.shift
-                log_w[i] = math.log(comp.weight)
-            return ("exp_gamma", (shapes, rates, shifts, log_w))
-        if isinstance(family, NormalLocation) and isinstance(kernel0, NormalKernel):
-            means = np.empty(self.n)
-            sds = np.empty(self.n)
-            log_w = np.empty(self.n)
-            for i, m in enumerate(self.measures):
-                if len(m.components) != 1:
-                    return None
-                comp = m.components[0]
-                if not (isinstance(comp, WeightedDensity) and comp.lower is None
-                        and comp.weight > 0 and isinstance(comp.kernel, NormalKernel)):
-                    return None
-                means[i] = comp.kernel.mean
-                sds[i] = comp.kernel.sd
-                log_w[i] = math.log(comp.weight)
-            return ("normal_normal", (means, sds, log_w))
-        return None
+        kernels, log_w = [], []
+        for m in measures:
+            comp = m.components[0]
+            if not (len(m.components) == 1 and isinstance(comp, WeightedDensity)
+                    and comp.lower is None and comp.weight > 0
+                    and isinstance(comp.kernel, kernel_type)):
+                return None
+            kernels.append(comp.kernel)
+            log_w.append(math.log(comp.weight))
+        columns = [np.array(list(map(attrgetter(f), kernels)), dtype=float) for f in fields]
+        if kind == "exp_gamma" and (columns[2] < 0).any():
+            return None  # the exp-gamma closed form needs shift >= 0
+        return (kind, (*columns, np.array(log_w)))
+
+    def _compiled(self) -> PanelRule:
+        if self._rule is None:
+            self._rule = PanelRule(self.family, self.measures, self.quad)
+        return self._rule
 
     def w_values(self, c: float) -> np.ndarray:
         self.family.check_param(c)
         if self._profile is None:
-            if self._rule is None:
-                self._rule = PanelRule(self.family, self.measures, self.quad)
             with np.errstate(divide="ignore", invalid="ignore"):
-                return -np.log(np.maximum(self._rule.integrals(c), 0.0))
+                return -np.log(np.maximum(self._compiled().integrals(c), 0.0))
         kind, data = self._profile
         if kind == "dirac":
             with np.errstate(divide="ignore"):
@@ -274,9 +215,10 @@ class _SampleEvaluator:
     def z_values(self, c: float) -> np.ndarray:
         self.family.check_param(c)
         if self._profile is None:
-            return np.array(
-                [z_value(self.family, c, m, self.quad, self.config) for m in self.measures]
-            )
+            values, grads = self._compiled().integrals_with_grad(c)
+            if not (values > 0).all():
+                raise FitError(f"loss is not finite at c = {c}; gradient undefined")
+            return -grads / values
         kind, data = self._profile
         if kind == "dirac":
             return -np.asarray(self.family.log_density_grad(c, data))
@@ -449,7 +391,7 @@ def fit(family, sample: Sample, config: OptimizerConfig = DEFAULT_CONFIG,
     measures = list(sample)
     if not measures:
         raise ValueError("sample must contain at least one measure")
-    evaluator = _SampleEvaluator(family, measures, quad, config)
+    evaluator = _SampleEvaluator(family, measures, quad)
     bracket = _clip_bracket(family, config.bracket or family.default_bracket())
     positive = family.param_bounds[0] >= 0
 
@@ -500,12 +442,12 @@ def sandwich(family, estimate: float, sample: Sample,
              config: OptimizerConfig = DEFAULT_CONFIG) -> tuple[float, float, float]:
     """Slope / second-moment / variance triple at the estimate.
 
-    The slope is a central finite difference of the mean gradient (step
-    sqrt(fd_step_rel), which also tolerates finite-differenced gradients);
-    the variance is second moment over squared slope.
+    The gradients are exact derivatives of the loss; the slope is a central
+    finite difference of their mean with step sqrt(fd_step_rel); the
+    variance is second moment over squared slope.
     """
     measures = list(sample)
-    evaluator = _SampleEvaluator(family, measures, quad, config)
+    evaluator = _SampleEvaluator(family, measures, quad)
     z = evaluator.z_values(estimate)
     j_hat = float(np.mean(z * z))
     h = _fd_step(family, estimate, math.sqrt(config.fd_step_rel))

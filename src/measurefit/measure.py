@@ -429,15 +429,19 @@ class PanelRule:
     nodes, constant tails and ramp cuts become survival terms, and each
     density or ramp component becomes quadrature panels whose 21- and
     10-point Gauss nodes carry c-free weights (Gauss weight times kernel pdf
-    for densities, times kernel sf for ramps). ``integrals(c)`` then costs
-    one family density call on all nodes.
+    for densities, times kernel sf for ramps). A ramp with no finite cut (a
+    normal kernel under the normal-location family) is the exact term
+    Phi((c - mean) / s) with s^2 = sigma1^2 + sd^2. ``integrals(c)`` then
+    costs one family density call on all nodes.
 
     At every c each component's integral is accepted only under the rule of
     ``refine_panels``: summed error ``|high - low|`` within
     ``max(abs_tol, rel_tol * |integral|)``. A component that fails is
     bisected by ``refine_panels`` from its current panels, with the same
-    budget and errors, and keeps its refined panels for later c. A measure
-    holding a ramp whose cut depends on c is integrated by ``integrate``.
+    budget and errors, and keeps its refined panels for later c.
+    ``integrals_with_grad(c)`` also returns the exact derivatives I'(c), read
+    off the panels accepted for I(c): the density times its score at the
+    same nodes, and the parameter derivative of each survival term.
     """
 
     def __init__(self, family, measures, quad: QuadratureSpec = DEFAULT_QUAD) -> None:
@@ -452,29 +456,23 @@ class PanelRule:
                 unique.append(m)
         self._slot_of = np.array([slots[id(m)] for m in measures], dtype=np.intp)
         self._n_slots = len(unique)
-        atoms, tails, comps = [], [], []
-        self._fallback: list[tuple[int, RandomMeasure]] = []
+        atoms, tails, ramps, comps = [], [], [], []
         for slot, measure in enumerate(unique):
-            parts = self._compile(measure, slot)
-            if parts is None:
-                self._fallback.append((slot, measure))
-                continue
-            atoms += parts[0]
-            tails += parts[1]
-            comps += parts[2]
+            self._compile(measure, slot, atoms, tails, ramps, comps)
         self._atom_x = np.array([x for _, x in atoms], dtype=float)
         self._tail_lower = np.array([x for _, x, _ in tails], dtype=float)
         self._tail_height = np.array([h for _, _, h in tails], dtype=float)
+        self._ramp_mean = np.array([u for _, u, _ in ramps], dtype=float)
+        self._ramp_sd = np.array([s for _, _, s in ramps], dtype=float)
         self._scale = np.array([w for _, w, _, _ in comps], dtype=float)
         self._weight_fns = [g for _, _, g, _ in comps]
-        # owners of the terms integrals() sums: atoms, survival terms, components
-        self._owner = np.array([t[0] for t in atoms + tails + comps], dtype=np.intp)
+        # owners of the terms _evaluate sums: atoms, survival terms, exact ramps, components
+        self._owner = np.array([t[0] for t in atoms + tails + ramps + comps], dtype=np.intp)
         self._pack([self._component_rule(g, k[:-1], k[1:]) for _, _, g, k in comps])
 
-    def _compile(self, measure: RandomMeasure, slot: int):
-        """Atoms, survival terms and panel components of one measure; None to fall back."""
+    def _compile(self, measure: RandomMeasure, slot: int, atoms, tails, ramps, comps) -> None:
+        """Append one measure's atoms, survival terms, exact ramps and panel components."""
         family, quad = self.family, self.quad
-        atoms, tails, comps = [], [], []
         for comp in measure.components:
             if isinstance(comp, DiracAtom):
                 atoms.append((slot, comp.location))
@@ -489,14 +487,16 @@ class PanelRule:
             elif isinstance(comp, CdfRamp):
                 domain = ramp_domain(family, comp, quad)
                 if domain is None:
-                    return None
+                    # both normal: P(Y <= X) for X ~ N(c, sigma1^2), Y ~ N(mean, sd^2)
+                    kernel = comp.kernel
+                    ramps.append((slot, kernel.mean, math.hypot(family.sigma1, kernel.sd)))
+                    continue
                 lo, knots = domain
                 tails.append((slot, lo, 1.0))
                 if knots is not None:
                     comps.append((slot, -1.0, comp.kernel.sf, knots))
             else:
                 raise TypeError(f"unknown measure component {comp!r}")
-        return atoms, tails, comps
 
     @staticmethod
     def _component_rule(weight_fn, lo: np.ndarray, hi: np.ndarray):
@@ -524,6 +524,13 @@ class PanelRule:
 
     def integrals(self, c: float) -> np.ndarray:
         """Integral of the family density against each measure, in sample order."""
+        return self._evaluate(c, grad=False)[0]
+
+    def integrals_with_grad(self, c: float) -> tuple[np.ndarray, np.ndarray]:
+        """Integrals and their exact derivatives in c, in sample order."""
+        return self._evaluate(c, grad=True)
+
+    def _evaluate(self, c: float, grad: bool):
         family, quad = self.family, self.quad
         family.check_param(c)
         dens = family.density(c, self._nodes)
@@ -538,15 +545,32 @@ class PanelRule:
             raise QuadratureError("integrand produced non-finite values")
         if failing.any():
             totals = self._refine(c, np.flatnonzero(failing), totals, high, err)
+            if grad:
+                dens = family.density(c, self._nodes)  # the nodes of the refined panels
+        n_atoms = len(self._atom_x)
+        ramp_z = (c - self._ramp_mean) / self._ramp_sd
         terms = np.concatenate([
-            dens[:len(self._atom_x)],
+            dens[:n_atoms],
             self._tail_height * family.survival(c, self._tail_lower),
+            special.ndtr(ramp_z),
             self._scale * totals,
         ])
-        values = np.bincount(self._owner, terms, minlength=self._n_slots)
-        for slot, measure in self._fallback:
-            values[slot] = integrate(family, c, measure, quad)
-        return values[self._slot_of]
+        values = np.bincount(self._owner, terms, minlength=self._n_slots)[self._slot_of]
+        if not grad:
+            return values, None
+        # density times score at the atoms and high-rule nodes; nodes below
+        # the support carry zero density
+        scored = self._nodes[:self._high.stop]
+        dens_grad = dens[:len(scored)] * family.log_density_grad(
+            c, np.maximum(scored, family.support_lower))
+        high_grad = (dens_grad[self._high].reshape(self._w_high.shape) * self._w_high).sum(axis=1)
+        grad_terms = np.concatenate([
+            dens_grad[:n_atoms],
+            self._tail_height * family.survival_grad(c, self._tail_lower),
+            np.exp(-0.5 * ramp_z * ramp_z) / (_SQRT_2PI * self._ramp_sd),
+            self._scale * np.add.reduceat(high_grad, self._starts),
+        ])
+        return values, np.bincount(self._owner, grad_terms, minlength=self._n_slots)[self._slot_of]
 
     def _refine(self, c: float, failing: np.ndarray, totals: np.ndarray,
                 high: np.ndarray, err: np.ndarray) -> np.ndarray:

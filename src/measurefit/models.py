@@ -1,7 +1,8 @@
 """One-parameter density families used by the fitting layer.
 
-Each family exposes a density, CDF, survival function and the parameter
-score of the log density, all vectorized over the observation argument.
+Each family exposes a density, CDF, survival function, the parameter
+derivative of the survival function and the parameter score of the log
+density, all vectorized over the observation argument.
 Survival functions are analytic so improper tail components integrate
 exactly, and parameter-domain violations raise instead of clamping (the
 optimizers rely on hard domain walls).
@@ -63,6 +64,10 @@ class NormalLocation:
         self.check_param(c)
         return _maybe_float(x, special.ndtr((c - np.asarray(x, dtype=float)) / self.sigma1))
 
+    def survival_grad(self, c, x):
+        """Derivative of the survival function in the parameter."""
+        return self.density(c, x)
+
     def log_density_grad(self, c, x):
         self.check_param(c)
         return _maybe_float(x, (np.asarray(x, dtype=float) - c) / self.sigma1**2)
@@ -104,6 +109,11 @@ class ExponentialRate:
         self.check_param(c)
         xs = np.asarray(x, dtype=float)
         return _maybe_float(x, np.where(xs >= 0, np.exp(-c * np.maximum(xs, 0.0)), 1.0))
+
+    def survival_grad(self, c, x):
+        self.check_param(c)
+        xs = np.maximum(np.asarray(x, dtype=float), 0.0)
+        return _maybe_float(x, -xs * np.exp(-c * xs))
 
     def log_density_grad(self, c, x):
         self.check_param(c)
@@ -160,6 +170,11 @@ class ParetoTail:
         xs = np.asarray(x, dtype=float)
         safe = np.maximum(xs, self.x0)
         return _maybe_float(x, np.where(xs >= self.x0, (safe / self.x0) ** (-c), 1.0))
+
+    def survival_grad(self, c, x):
+        self.check_param(c)
+        ratio = np.maximum(np.asarray(x, dtype=float), self.x0) / self.x0
+        return _maybe_float(x, -np.log(ratio) * ratio ** (-c))
 
     def log_density_grad(self, c, x):
         self.check_param(c)

@@ -185,8 +185,7 @@ def replicate(config: StudyConfig) -> StudySummary:
         ci_hi.append(res.estimate + half)
         if limit is not None:
             covered.append(ci_lo[-1] <= limit <= ci_hi[-1])
-            z_vals = _SampleEvaluator(family, measures, config.quad,
-                                      config.optimizer).z_values(limit)
+            z_vals = _SampleEvaluator(family, measures, config.quad).z_values(limit)
             score_sum += float(z_vals.sum())
             score_sq += float((z_vals * z_vals).sum())
             score_count += z_vals.size
@@ -235,7 +234,7 @@ def score_mean_at_limit(scenario: ExpGammaSpec | NormalNormalSpec, draws: int,
     if limit is None:
         raise ValueError("scenario has no analytic limit")
     family, measures = _draw(scenario, draws, np.random.default_rng(seed))
-    z = _SampleEvaluator(family, measures, DEFAULT_QUAD, DEFAULT_CONFIG).z_values(limit)
+    z = _SampleEvaluator(family, measures, DEFAULT_QUAD).z_values(limit)
     return float(z.mean()), float(z.std(ddof=1) / math.sqrt(z.size))
 
 

@@ -206,8 +206,8 @@ class TailConfig:
         if self.k < 2:
             raise ValueError("k must be at least 2")
         grid = tuple(float(s) for s in self.sigma2_grid)
-        if any(s <= 0 for s in grid):
-            raise ValueError("sigma2 grid values must be positive")
+        if not all(0 < s < math.inf for s in grid):
+            raise ValueError("sigma2 grid values must be positive and finite")
         if any(b >= a for a, b in zip(grid[1:], grid[:-1])):
             raise ValueError("sigma2 grid must be strictly increasing")
         if self.variant not in ("A", "B"):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +84,26 @@ def test_fit_tail_scenario_rejected_before_drawing(tmp_path, capsys, monkeypatch
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] == "ValueError"
     assert "tail studies" in payload["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["0.5:nan:2", "1e-8:inf:3:log"])
+def test_curve_rejects_a_non_finite_grid_before_fitting(tmp_path, capsys, monkeypatch, grid):
+    claims = tmp_path / "claims.csv"
+    invoke(synth_args(claims, n=200))
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a grid point was fitted before the grid was rejected")
+
+    monkeypatch.setattr("measurefit.tailstudy.fit", no_fit)
+    out = tmp_path / "curve.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = invoke(["curve", "--input", claims, "--k", 30, "--grid", grid, "--out", out])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "ValueError"
+    assert "finite" in payload["message"]
     assert not out.exists()
 
 

@@ -252,6 +252,9 @@ def test_tail_config_validation():
         TailConfig(k=10, sigma2_grid=(0.5, 0.1))
     with pytest.raises(ValueError):
         TailConfig(k=10, sigma2_grid=(-0.1, 0.5))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            TailConfig(k=10, sigma2_grid=(0.5, bad))
     with pytest.raises(ValueError):
         TailConfig(k=10, sigma2_grid=(0.1,), variant="Z")
 
