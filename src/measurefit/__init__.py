@@ -43,6 +43,7 @@ from .measure import (
     ConstantTail,
     DiracAtom,
     GammaKernel,
+    KernelSample,
     NormalKernel,
     RandomMeasure,
     WeightedDensity,

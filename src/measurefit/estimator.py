@@ -11,7 +11,9 @@ once per sample:
 - closed-form profile: a homogeneous sample (all atoms, all unrestricted
   gamma kernels under the exponential family, or all normal kernels under
   the normal-location family) is evaluated by vectorized numpy
-  expressions for W and Z, with no quadrature;
+  expressions for W and Z, with no quadrature. A ``KernelSample`` hands
+  the profile its columns; any other sequence is scanned once per
+  evaluator;
 - compiled panel rule: any other sample is compiled on its first
   evaluation into a ``PanelRule``, which holds its quadrature panels for
   the rest of the fit and integrates every measure in one batched density
@@ -26,7 +28,8 @@ stays the per-measure adaptive oracle behind ``w_value``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Sequence
 
@@ -36,6 +39,7 @@ from scipy import optimize
 from .measure import (
     DiracAtom,
     GammaKernel,
+    KernelSample,
     NormalKernel,
     PanelRule,
     RandomMeasure,
@@ -56,6 +60,11 @@ class FitError(RuntimeError):
 
 class SingularSlopeError(RuntimeError):
     """The slope of the mean estimating function is numerically singular."""
+
+
+def failure_reason(exc: BaseException) -> str:
+    """The key a study counts a failed fit under: ``"<ExceptionType>: <message>"``."""
+    return f"{type(exc).__name__}: {exc}"
 
 
 @dataclass(frozen=True)
@@ -135,7 +144,7 @@ def z_value(family, c: float, measure: RandomMeasure,
 def per_point_loglik(family, c: float, sample: Sample,
                      quad: QuadratureSpec = DEFAULT_QUAD) -> np.ndarray:
     """Log integral term per datapoint (-inf where the integral vanishes)."""
-    evaluator = _SampleEvaluator(family, list(sample), quad)
+    evaluator = _SampleEvaluator(family, _measures(sample), quad)
     return -evaluator.w_values(c)
 
 
@@ -153,10 +162,19 @@ def generalized_loglik(family, c: float, sample: Sample,
 # vectorized evaluation of a sample
 
 
-class _SampleEvaluator:
-    """Sum-of-W / sum-of-Z oracles: a closed-form profile or a compiled panel rule."""
+def _measures(sample: Sample) -> Sample:
+    """The sample as an evaluator takes it: a KernelSample as is, anything else as a list."""
+    return sample if isinstance(sample, KernelSample) else list(sample)
 
-    def __init__(self, family, measures: list[RandomMeasure], quad: QuadratureSpec) -> None:
+
+class _SampleEvaluator:
+    """Sum-of-W / sum-of-Z oracles: a closed-form profile or a compiled panel rule.
+
+    The profile of a ``KernelSample`` is read off its columns, without
+    touching its measures; a list is scanned once.
+    """
+
+    def __init__(self, family, measures: Sample, quad: QuadratureSpec) -> None:
         self.family = family
         self.measures = measures
         self.quad = quad
@@ -167,6 +185,8 @@ class _SampleEvaluator:
     def _build_profile(self):
         """Closed-form profile arrays of a homogeneous sample; None when it has none."""
         family, measures = self.family, self.measures
+        if isinstance(measures, KernelSample):
+            return self._column_profile(measures)
         if all(len(m.components) == 1 and isinstance(m.components[0], DiracAtom)
                for m in measures):
             return ("dirac", np.array([m.components[0].location for m in measures],
@@ -190,6 +210,19 @@ class _SampleEvaluator:
         if kind == "exp_gamma" and (columns[2] < 0).any():
             return None  # the exp-gamma closed form needs shift >= 0
         return (kind, (*columns, np.array(log_w)))
+
+    def _column_profile(self, sample: KernelSample):
+        """The profile ``_build_profile`` would scan out of the sample, from its columns."""
+        family, cols = self.family, sample.columns
+        if sample.kind == "dirac":
+            return ("dirac", cols["location"])
+        log_w = np.zeros(len(sample))  # unit weights
+        if (sample.kind == "gamma" and isinstance(family, ExponentialRate)
+                and (cols["shift"] >= 0).all()):
+            return ("exp_gamma", (cols["shape"], cols["rate"], cols["shift"], log_w))
+        if sample.kind == "normal" and isinstance(family, NormalLocation):
+            return ("normal_normal", (cols["mean"], cols["sd"], log_w))
+        return None
 
     def _compiled(self) -> PanelRule:
         if self._rule is None:
@@ -388,7 +421,7 @@ def fit(family, sample: Sample, config: OptimizerConfig = DEFAULT_CONFIG,
     root finding (expanding the bracket geometrically when needed). The two
     agree at interior optima.
     """
-    measures = list(sample)
+    measures = _measures(sample)
     if not measures:
         raise ValueError("sample must contain at least one measure")
     evaluator = _SampleEvaluator(family, measures, quad)
@@ -446,8 +479,7 @@ def sandwich(family, estimate: float, sample: Sample,
     finite difference of their mean with step sqrt(fd_step_rel); the
     variance is second moment over squared slope.
     """
-    measures = list(sample)
-    evaluator = _SampleEvaluator(family, measures, quad)
+    evaluator = _SampleEvaluator(family, _measures(sample), quad)
     z = evaluator.z_values(estimate)
     j_hat = float(np.mean(z * z))
     h = _fd_step(family, estimate, math.sqrt(config.fd_step_rel))
@@ -465,10 +497,13 @@ def sandwich(family, estimate: float, sample: Sample,
 
 @dataclass(frozen=True)
 class BootstrapResult:
+    """Bootstrap spread; ``failure_reasons`` counts failed refits by ``failure_reason``."""
+
     standard_error: float | None
     percentile_interval: tuple[float, float] | None
     estimates: np.ndarray
     n_failures: int
+    failure_reasons: dict[str, int] = field(default_factory=dict)
 
 
 def bootstrap_se(family, sample: Sample, replicates: int, seed: int,
@@ -486,22 +521,24 @@ def bootstrap_se(family, sample: Sample, replicates: int, seed: int,
     n = len(measures)
     rng = np.random.default_rng(seed)
     estimates = []
-    failures = 0
+    reasons: Counter[str] = Counter()
     for _ in range(replicates):
         idx = rng.integers(0, n, size=n)
         resample = [measures[i] for i in idx]
         try:
             res = fit(family, resample, config, quad, method, compute_sandwich=False)
             estimates.append(res.estimate)
-        except (FitError, ValueError, RuntimeError):
-            failures += 1
+        except (FitError, ValueError, RuntimeError) as exc:
+            reasons[failure_reason(exc)] += 1
+    failures = reasons.total()
     if failures > 0.1 * replicates:
         raise RuntimeError(
-            f"{failures} of {replicates} bootstrap refits failed (more than 10%)"
+            f"{failures} of {replicates} bootstrap refits failed (more than 10%): "
+            f"{dict(reasons)}"
         )
     values = np.asarray(estimates)
     if values.size < 2:
-        return BootstrapResult(None, None, values, failures)
+        return BootstrapResult(None, None, values, failures, dict(reasons))
     return BootstrapResult(
         standard_error=float(values.std(ddof=1)),
         percentile_interval=(
@@ -509,6 +546,7 @@ def bootstrap_se(family, sample: Sample, replicates: int, seed: int,
         ),
         estimates=values,
         n_failures=failures,
+        failure_reasons=dict(reasons),
     )
 
 

@@ -10,7 +10,9 @@ constructed from these four pieces.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 from scipy import special
@@ -200,14 +202,17 @@ class RandomMeasure:
     support_lower: float = field(default=math.nan)
 
     def __post_init__(self) -> None:
-        comps = tuple(self.components)
+        comps = self.components
+        if type(comps) is not tuple:
+            comps = tuple(comps)
+            object.__setattr__(self, "components", comps)
         if not comps:
             raise ValueError("a random measure needs at least one component")
-        object.__setattr__(self, "components", comps)
         if math.isnan(self.support_lower):
-            object.__setattr__(
-                self, "support_lower", min(_component_lower(c) for c in comps)
-            )
+            # most measures hold one component: no min() over a generator
+            lower = (_component_lower(comps[0]) if len(comps) == 1
+                     else min(_component_lower(c) for c in comps))
+            object.__setattr__(self, "support_lower", lower)
         else:
             for c in comps:
                 if _component_lower(c) < self.support_lower - 1e-12:
@@ -326,6 +331,80 @@ def make_gamma_bridge(paid: float, ultimate: float, sigma2: float,
 
 
 # ---------------------------------------------------------------------------
+# samples that carry their columns
+
+
+class KernelSample(Sequence):
+    """A sample of one-component measures that also carries them as columns.
+
+    ``kind`` names the component every measure holds, and ``columns`` maps
+    its fields to read-only float arrays with one entry per measure:
+
+    - ``"dirac"``: ``location`` of a ``DiracAtom``;
+    - ``"gamma"``: ``shape``, ``rate`` and ``shift`` of a unit-weight
+      ``GammaKernel`` density;
+    - ``"normal"``: ``mean`` and ``sd`` of a unit-weight ``NormalKernel``
+      density.
+
+    Scalar columns broadcast to the sample length. The measures are built
+    once, on construction, by the validating constructors, so an invalid
+    value raises their ``ValueError`` and iteration costs nothing. Fitters
+    read the columns rather than inspecting the measures. Two samples are
+    equal when their measures are.
+    """
+
+    _FIELDS = {"dirac": ("location",), "gamma": ("shape", "rate", "shift"),
+               "normal": ("mean", "sd")}
+
+    __slots__ = ("kind", "columns", "_measures")
+
+    def __init__(self, kind: str, **columns) -> None:
+        fields = self._FIELDS.get(kind)
+        if fields is None:
+            raise ValueError(f"unknown sample kind {kind!r}")
+        if set(columns) != set(fields):
+            raise ValueError(f"a {kind} sample needs the columns {', '.join(fields)}")
+        arrays = np.broadcast_arrays(*(np.asarray(columns[f], dtype=float) for f in fields))
+        if arrays[0].ndim != 1:
+            raise ValueError("sample columns must be one-dimensional")
+        frozen = {}
+        for name, values in zip(fields, arrays):
+            values = values.copy()
+            values.flags.writeable = False
+            frozen[name] = values
+        # Python floats, not numpy scalars, inside the measures
+        rows = zip(*(values.tolist() for values in frozen.values()))
+        if kind == "dirac":
+            measures = tuple(RandomMeasure((DiracAtom(x),)) for (x,) in rows)
+        elif kind == "gamma":
+            measures = tuple(RandomMeasure((WeightedDensity(1.0, GammaKernel(a, b, s)),))
+                             for a, b, s in rows)
+        else:
+            measures = tuple(RandomMeasure((WeightedDensity(1.0, NormalKernel(u, sd)),))
+                             for u, sd in rows)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "columns", MappingProxyType(frozen))
+        object.__setattr__(self, "_measures", measures)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("KernelSample is immutable")
+
+    def __len__(self) -> int:
+        return len(self._measures)
+
+    def __getitem__(self, index):
+        return self._measures[index]
+
+    def __iter__(self):
+        return iter(self._measures)
+
+    def __eq__(self, other):
+        if not isinstance(other, KernelSample):
+            return NotImplemented
+        return self._measures == other._measures
+
+
+# ---------------------------------------------------------------------------
 # integration
 
 
@@ -438,7 +517,10 @@ class PanelRule:
     ``refine_panels``: summed error ``|high - low|`` within
     ``max(abs_tol, rel_tol * |integral|)``. A component that fails is
     bisected by ``refine_panels`` from its current panels, with the same
-    budget and errors, and keeps its refined panels for later c.
+    budget and errors, and keeps its refined panels for later c. Where that
+    fails from panels refined at earlier c, the component is refined once
+    more from its compile-time panels before the error is raised, so a
+    rule's history never makes it fail where ``integrate`` succeeds.
     ``integrals_with_grad(c)`` also returns the exact derivatives I'(c), read
     off the panels accepted for I(c): the density times its score at the
     same nodes, and the parameter derivative of each survival term.
@@ -466,6 +548,7 @@ class PanelRule:
         self._ramp_sd = np.array([s for _, _, s in ramps], dtype=float)
         self._scale = np.array([w for _, w, _, _ in comps], dtype=float)
         self._weight_fns = [g for _, _, g, _ in comps]
+        self._knots = [k for _, _, _, k in comps]  # the compile-time panels
         # owners of the terms _evaluate sums: atoms, survival terms, exact ramps, components
         self._owner = np.array([t[0] for t in atoms + tails + ramps + comps], dtype=np.intp)
         self._pack([self._component_rule(g, k[:-1], k[1:]) for _, _, g, k in comps])
@@ -585,8 +668,16 @@ class PanelRule:
         for k in failing:
             g, s, e = self._weight_fns[k], self._starts[k], ends[k]
             integrand = lambda x: family.density(c, x) * g(x)
-            totals[k], lo, hi = refine_panels(integrand, self._lo[s:e], self._hi[s:e],
-                                              self.quad, (high[s:e], err[s:e]))
+            try:
+                totals[k], lo, hi = refine_panels(integrand, self._lo[s:e], self._hi[s:e],
+                                                  self.quad, (high[s:e], err[s:e]))
+            except QuadratureError:
+                # panels refined at earlier c can stall where the compile-time
+                # panels do not: refine once from those, as ``integrate`` does
+                knots = self._knots[k]
+                if e - s == len(knots) - 1:  # no earlier refinement to undo
+                    raise
+                totals[k], lo, hi = refine_panels(integrand, knots[:-1], knots[1:], self.quad)
             rules[k] = self._component_rule(g, lo, hi)
         self._pack(rules)
         return totals

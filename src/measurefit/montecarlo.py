@@ -9,12 +9,19 @@ coverage, and the centering of the score at the limit.
 
 All randomness flows from one master seed through per-replication spawned
 streams, so results are reproducible regardless of execution order.
+
+A solvable scenario's sample is a ``KernelSample``: the draws are kept as
+columns (gamma shapes, rates and shifts, normal means and sds, or atom
+locations) next to the measures built from them. The fit, the sandwich and
+the score at the limit read the columns, so no replication inspects its
+measures again; claims scenarios give lists of bridge measures.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
@@ -30,9 +37,10 @@ from .estimator import (
     FitError,
     OptimizerConfig,
     _SampleEvaluator,
+    failure_reason,
     fit,
 )
-from .measure import GammaKernel, NormalKernel, RandomMeasure, WeightedDensity, make_dirac
+from .measure import KernelSample, RandomMeasure
 from .models import ExponentialRate, NormalLocation
 from .quadrature import DEFAULT_QUAD, QuadratureSpec
 from .tailstudy import TailScenarioSpec, build_bridge_sample, synthesize_claims
@@ -62,7 +70,11 @@ class StudyConfig:
 
 @dataclass(frozen=True)
 class StudySummary:
-    """Aggregates across replications plus the per-replication table."""
+    """Aggregates across replications plus the per-replication table.
+
+    ``failure_reasons`` counts the failed replications by
+    ``estimator.failure_reason``; ``n_failures`` is its total.
+    """
 
     n: int
     replications: int
@@ -81,6 +93,7 @@ class StudySummary:
     ci_lower: np.ndarray
     ci_upper: np.ndarray
     covered: np.ndarray | None
+    failure_reasons: dict[str, int] = field(default_factory=dict)
 
 
 def _draw(scenario: Scenario, n: int, rng: np.random.Generator):
@@ -89,14 +102,9 @@ def _draw(scenario: Scenario, n: int, rng: np.random.Generator):
         xs = rng.exponential(1.0 / scenario.true_rate, size=n)
         s2 = scenario.expert_var
         if s2 == 0.0:
-            measures = [make_dirac(x) for x in xs]
-        else:
-            rate = 1.0 / s2
-            measures = [
-                RandomMeasure((WeightedDensity(1.0, GammaKernel(x / s2, rate)),))
-                for x in xs
-            ]
-        return ExponentialRate(), measures
+            return ExponentialRate(), KernelSample("dirac", location=xs)
+        return ExponentialRate(), KernelSample("gamma", shape=xs / s2, rate=1.0 / s2,
+                                               shift=0.0)
     if isinstance(scenario, NormalNormalSpec):
         xs = scenario.true_location + scenario.model_sd * rng.standard_normal(n)
         noise = rng.standard_normal(n)
@@ -106,12 +114,9 @@ def _draw(scenario: Scenario, n: int, rng: np.random.Generator):
         )
         centers = xs + ys
         if scenario.expert_sd == 0.0:
-            measures = [make_dirac(u) for u in centers]
+            measures = KernelSample("dirac", location=centers)
         else:
-            measures = [
-                RandomMeasure((WeightedDensity(1.0, NormalKernel(u, scenario.expert_sd)),))
-                for u in centers
-            ]
+            measures = KernelSample("normal", mean=centers, sd=scenario.expert_sd)
         return NormalLocation(scenario.model_sd), measures
     if isinstance(scenario, TailScenarioSpec):
         records = synthesize_claims(
@@ -147,8 +152,12 @@ def _scenario_method(scenario: Scenario, method: str | None) -> str:
     return "minimize" if isinstance(scenario, TailScenarioSpec) else "zroot"
 
 
-def simulate_scenario(scenario: Scenario, n: int, seed: int) -> list[RandomMeasure]:
-    """Draw one measure-valued sample of size n, deterministic in the seed."""
+def simulate_scenario(scenario: Scenario, n: int,
+                      seed: int) -> KernelSample | list[RandomMeasure]:
+    """Draw one measure-valued sample of size n, deterministic in the seed.
+
+    A solvable scenario gives a ``KernelSample``, a claims scenario a list.
+    """
     _, measures = _draw(scenario, n, np.random.default_rng(seed))
     return measures
 
@@ -169,14 +178,14 @@ def replicate(config: StudyConfig) -> StudySummary:
     estimates, variances, ci_lo, ci_hi, covered = [], [], [], [], []
     score_sum = score_sq = 0.0
     score_count = 0
-    failures = 0
+    reasons: Counter[str] = Counter()
     for child in seeds:
         rng = np.random.default_rng(child)
         family, measures = _draw(config.scenario, config.n, rng)
         try:
             res = fit(family, measures, config.optimizer, config.quad, method)
-        except (FitError, ValueError, RuntimeError):
-            failures += 1
+        except (FitError, ValueError, RuntimeError) as exc:
+            reasons[failure_reason(exc)] += 1
             continue
         half = z_crit * math.sqrt(res.v_hat / res.n)
         estimates.append(res.estimate)
@@ -189,9 +198,11 @@ def replicate(config: StudyConfig) -> StudySummary:
             score_sum += float(z_vals.sum())
             score_sq += float((z_vals * z_vals).sum())
             score_count += z_vals.size
+    failures = reasons.total()
     if failures > 0.1 * config.replications:
         raise RuntimeError(
-            f"{failures} of {config.replications} replications failed (more than 10%)"
+            f"{failures} of {config.replications} replications failed (more than 10%): "
+            f"{dict(reasons)}"
         )
 
     est = np.asarray(estimates)
@@ -220,6 +231,7 @@ def replicate(config: StudyConfig) -> StudySummary:
         ci_lower=np.asarray(ci_lo),
         ci_upper=np.asarray(ci_hi),
         covered=np.asarray(covered) if covered else None,
+        failure_reasons=dict(reasons),
     )
 
 

@@ -168,6 +168,21 @@ def test_panels_refined_at_one_c_are_checked_again_at_another():
     assert_matches_oracle(family, measures, [1e-3, 0.5, 1e3], rule=rule)
 
 
+def test_panels_that_stall_after_earlier_refinements_restart_from_compile_time():
+    # the panels refined at c = -40 ... -10 stall at c = -5 ("error estimate
+    # stalled at 1.8e-08"), where the compile-time panels converge; at
+    # c = -35 it is ``integrate`` that stalls, so only the rule is evaluated
+    family = NormalLocation(sigma1=1.3)
+    measures = [RandomMeasure((WeightedDensity(1.0, NormalKernel(0.0, 1000.0)),))]
+    rule = PanelRule(family, measures)
+    for c in range(-40, -9, 5):
+        assert np.isfinite(rule.integrals(c)).all()
+    fresh = PanelRule(family, measures)
+    assert rule.integrals(-5.0)[0] == fresh.integrals(-5.0)[0]
+    assert rule.panels == fresh.panels
+    assert_matches_oracle(family, measures, [-5.0, 0.0, 5.0], rule=rule)
+
+
 def test_subdivision_budget_exhaustion_still_raises():
     family = ParetoTail(x0=1.0)
     measures = [make_dirac(2.0), make_gamma_bridge(1.1, 1.1, 100.0, "A")]

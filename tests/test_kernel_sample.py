@@ -1,0 +1,240 @@
+"""Samples that carry their columns: ``KernelSample`` against its measures.
+
+A fit reads a KernelSample's columns where a list of the same measures is
+scanned; every result must be bit-identical either way, and a sample the
+columns do not cover must fall back to the compiled rule, which agrees
+with ``integrate``.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from measurefit import (
+    DiracAtom,
+    ExpGammaSpec,
+    ExponentialRate,
+    FitError,
+    GammaKernel,
+    KernelSample,
+    NormalKernel,
+    NormalLocation,
+    NormalNormalSpec,
+    ParetoTail,
+    QuadratureError,
+    RandomMeasure,
+    StudyConfig,
+    WeightedDensity,
+    bootstrap_se,
+    fit,
+    integrate,
+    make_dirac,
+    replicate,
+    simulate_scenario,
+)
+from measurefit import estimator, montecarlo
+from measurefit.estimator import _SampleEvaluator
+from measurefit.quadrature import DEFAULT_QUAD
+
+NN = dict(noise_mean=0.1, noise_sd=0.3)
+SCENARIOS = [
+    (ExpGammaSpec(0.5, 0.25), ExponentialRate(), "exp_gamma"),
+    (ExpGammaSpec(0.5, 0.0), ExponentialRate(), "dirac"),
+    (NormalNormalSpec(2.0, 1.0, expert_sd=0.7, **NN), NormalLocation(1.0), "normal_normal"),
+    (NormalNormalSpec(2.0, 1.0, expert_sd=0.0, **NN), NormalLocation(1.0), "dirac"),
+]
+
+
+def hexes(*values):
+    return [float(v).hex() for v in values]
+
+
+def test_columns_are_read_only_and_measures_hold_python_floats():
+    sample = KernelSample("gamma", shape=np.array([1.5, 4.0]), rate=2.0, shift=0.0)
+    assert len(sample) == 2 and sample.kind == "gamma"
+    assert sample.columns["rate"].tolist() == [2.0, 2.0]
+    with pytest.raises(ValueError):
+        sample.columns["shape"][0] = 3.0
+    with pytest.raises(AttributeError):
+        sample.kind = "normal"
+    kernel = sample[1].components[0].kernel
+    assert kernel == GammaKernel(4.0, 2.0, 0.0)
+    assert type(kernel.shape) is float and type(kernel.rate) is float
+    assert list(sample) == [RandomMeasure((WeightedDensity(1.0, GammaKernel(a, 2.0)),))
+                            for a in (1.5, 4.0)]
+    assert KernelSample("dirac", location=[1.0, 2.0])[0] == make_dirac(1.0)
+    assert KernelSample("dirac", location=[1.0]) != KernelSample("dirac", location=[2.0])
+
+
+@pytest.mark.parametrize("kind, columns", [
+    ("beta", {"a": [1.0]}),
+    ("gamma", {"shape": [1.0], "rate": [1.0]}),
+    ("normal", {"mean": 1.0, "sd": 1.0}),
+    ("normal", {"mean": [[1.0]], "sd": 1.0}),
+])
+def test_malformed_columns_rejected(kind, columns):
+    with pytest.raises(ValueError):
+        KernelSample(kind, **columns)
+
+
+@pytest.mark.parametrize("build, make", [
+    (lambda: KernelSample("gamma", shape=[1.0, 0.0], rate=2.0, shift=0.0),
+     lambda: GammaKernel(0.0, 2.0)),
+    (lambda: KernelSample("gamma", shape=[1.0], rate=2.0, shift=math.inf),
+     lambda: GammaKernel(1.0, 2.0, math.inf)),
+    (lambda: KernelSample("normal", mean=[0.0, math.inf], sd=0.7),
+     lambda: NormalKernel(math.inf, 0.7)),
+    (lambda: KernelSample("normal", mean=[0.0, math.nan], sd=0.7),
+     lambda: NormalKernel(math.nan, 0.7)),
+    (lambda: KernelSample("dirac", location=[0.0, math.nan]),
+     lambda: DiracAtom(math.nan)),
+])
+def test_invalid_values_raise_the_constructors_error(build, make):
+    with pytest.raises(ValueError) as expected:
+        make()
+    with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+        build()
+
+
+def test_a_zero_draw_raises_the_kernel_error():
+    class ZeroDraw:
+        def exponential(self, scale, size):
+            return np.array([1.0, 0.0, 2.0])[:size]
+
+    with pytest.raises(ValueError, match="gamma kernel needs positive shape and rate"):
+        montecarlo._draw(ExpGammaSpec(0.5, 0.5), 3, ZeroDraw())
+
+
+@pytest.mark.parametrize("spec, family, kind", SCENARIOS)
+def test_column_profile_equals_the_scan(spec, family, kind):
+    sample = simulate_scenario(spec, 300, seed=11)
+    assert isinstance(sample, KernelSample)
+    columns = _SampleEvaluator(family, sample, DEFAULT_QUAD)._profile
+    scanned = _SampleEvaluator(family, list(sample), DEFAULT_QUAD)._profile
+    assert columns[0] == scanned[0] == kind
+    pairs = [(columns[1], scanned[1])] if kind == "dirac" else zip(columns[1], scanned[1])
+    for got, want in pairs:
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("spec, family, kind", SCENARIOS)
+def test_fit_is_bit_identical_on_the_columns_and_on_the_list(spec, family, kind):
+    sample = simulate_scenario(spec, 300, seed=12)
+    results = [fit(family, s, method="zroot") for s in (sample, list(sample))]
+    a, b = ([r.estimate, r.objective, r.m_hat, r.j_hat, r.v_hat, r.stderr] for r in results)
+    assert hexes(*a) == hexes(*b)
+    assert results[0].iterations == results[1].iterations
+
+
+@pytest.mark.parametrize("spec", [SCENARIOS[0][0], SCENARIOS[2][0]])
+def test_replicate_is_bit_identical_on_the_columns_and_on_the_list(spec, monkeypatch):
+    config = StudyConfig(scenario=spec, n=300, replications=4, seed=2, method="zroot")
+    on_columns = replicate(config)
+    draw = montecarlo._draw
+
+    def draw_list(*args):
+        family, sample = draw(*args)
+        assert isinstance(sample, KernelSample)
+        return family, list(sample)
+
+    monkeypatch.setattr(montecarlo, "_draw", draw_list)
+    on_list = replicate(config)
+    for name in ("estimates", "variances", "ci_lower", "ci_upper"):
+        assert hexes(*getattr(on_columns, name)) == hexes(*getattr(on_list, name))
+    assert hexes(on_columns.score_mean, on_columns.score_se) == \
+        hexes(on_list.score_mean, on_list.score_se)
+
+
+@pytest.mark.parametrize("family, sample, cs", [
+    (ParetoTail(x0=1.0), simulate_scenario(ExpGammaSpec(0.5, 0.25), 6, seed=3), [0.5, 2.0]),
+    (NormalLocation(1.0), simulate_scenario(ExpGammaSpec(0.5, 0.25), 6, seed=3),
+     [0.0, 2.0, 5.0]),
+    (ExponentialRate(), KernelSample("gamma", shape=[2.0, 5.0], rate=4.0, shift=-0.5),
+     [0.3, 1.0, 3.0]),
+    (ExponentialRate(),
+     simulate_scenario(NormalNormalSpec(2.0, 1.0, expert_sd=0.7, **NN), 6, seed=3),
+     [0.3, 1.0, 3.0]),
+])
+def test_uncovered_families_fall_back_to_the_rule(family, sample, cs):
+    evaluator = _SampleEvaluator(family, sample, DEFAULT_QUAD)
+    assert evaluator._profile is None
+    rule = evaluator._compiled()
+    assert rule.panels > 0
+    for c in cs:
+        oracle = [integrate(family, c, m) for m in sample]
+        np.testing.assert_allclose(rule.integrals(c), oracle, rtol=10 * DEFAULT_QUAD.rel_tol,
+                                   atol=10 * DEFAULT_QUAD.abs_tol, err_msg=f"c = {c!r}")
+
+
+def test_evaluators_and_fits_never_read_the_measures():
+    reads = []
+
+    class Counting(KernelSample):
+        __slots__ = ()
+
+        def __getitem__(self, index):
+            reads.append(index)
+            return super().__getitem__(index)
+
+        def __iter__(self):
+            reads.append("iter")
+            return super().__iter__()
+
+    samples = [
+        (ExponentialRate(), Counting("gamma", shape=[1.0, 3.0, 5.0], rate=2.0, shift=0.0)),
+        (ExponentialRate(), Counting("dirac", location=[1.0, 3.0, 5.0])),
+        (NormalLocation(1.0), Counting("normal", mean=[1.0, 3.0, 5.0], sd=0.7)),
+        # uncovered: the rule is compiled only on the first evaluation
+        (ParetoTail(x0=1.0), Counting("gamma", shape=[1.0, 3.0], rate=2.0, shift=1.0)),
+    ]
+    for family, sample in samples:
+        _SampleEvaluator(family, sample, DEFAULT_QUAD)
+    for family, sample in samples[:3]:
+        fit(family, sample, method="zroot")
+    assert reads == []
+
+
+def _flaky_fit(real_fit, failing: dict[int, Exception]):
+    calls = iter(range(10**6))
+
+    def flaky(*args, **kwargs):
+        exc = failing.get(next(calls))
+        if exc is not None:
+            raise exc
+        return real_fit(*args, **kwargs)
+
+    return flaky
+
+
+def test_replicate_counts_failures_by_reason(monkeypatch):
+    real_fit = montecarlo.fit
+    failing = {1: FitError("no sign change"), 4: QuadratureError("stalled"),
+               7: FitError("no sign change")}
+    monkeypatch.setattr(montecarlo, "fit", _flaky_fit(real_fit, failing))
+    config = StudyConfig(scenario=ExpGammaSpec(0.5, 0.5), n=200, replications=30, seed=1)
+    summary = replicate(config)
+    assert summary.failure_reasons == {"FitError: no sign change": 2,
+                                       "QuadratureError: stalled": 1}
+    assert summary.n_failures == 3 == sum(summary.failure_reasons.values())
+    assert summary.estimates.size == 27
+
+    # more than 10% failed: the abort names the reasons
+    monkeypatch.setattr(montecarlo, "fit", _flaky_fit(real_fit, {0: ValueError("bad")}))
+    with pytest.raises(RuntimeError, match=re.escape("{'ValueError: bad': 1}")):
+        replicate(StudyConfig(scenario=ExpGammaSpec(0.5, 0.5), n=200, replications=5, seed=1))
+
+
+def test_bootstrap_counts_failures_by_reason(monkeypatch):
+    rng = np.random.default_rng(4)
+    sample = [make_dirac(x) for x in rng.exponential(2.0, size=40)]
+    monkeypatch.setattr(estimator, "fit", _flaky_fit(
+        estimator.fit, {2: FitError("objective is infinite"), 5: ValueError("bad")}))
+    res = bootstrap_se(ExponentialRate(), sample, 20, seed=3)
+    assert res.failure_reasons == {"FitError: objective is infinite": 1, "ValueError: bad": 1}
+    assert res.n_failures == 2 == sum(res.failure_reasons.values())
+    assert res.estimates.size == 18
+    clean = bootstrap_se(ExponentialRate(), sample, 3, seed=3)
+    assert clean.n_failures == 0 and clean.failure_reasons == {}
