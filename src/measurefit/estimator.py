@@ -18,11 +18,17 @@ once per sample:
   evaluation into a ``PanelRule``, which holds its quadrature panels for
   the rest of the fit and integrates every measure in one batched density
   call per c, checking each component against the adaptive tolerance at
-  every c and refining it where the check fails. I'(c) is read off the
-  panels accepted for I(c), so Z needs no further integrals.
+  every c and refining it where the check fails. I'(c) and I''(c) are
+  read off the panels accepted for I(c), so Z and its slope need no
+  further integrals.
 
-``z_value`` is the one-measure case of the same evaluator; ``integrate``
-stays the per-measure adaptive oracle behind ``w_value``.
+The fit is a Z-estimator solved by one method: safeguarded Newton on sum Z
+with its exact slope sum Z', Z' = Z^2 - I''/I (closed forms on the
+profiles), inside a bracket across which sum Z changes sign; a sweep of the
+loss is only the fallback. The sandwich reads the same exact slope, so no
+finite difference is taken anywhere. ``z_value`` is the one-measure case of
+the same evaluator; ``integrate`` stays the per-measure adaptive oracle
+behind ``w_value``.
 """
 
 from __future__ import annotations
@@ -31,10 +37,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .measure import (
     DiracAtom,
@@ -46,12 +51,12 @@ from .measure import (
     WeightedDensity,
     integrate,
 )
-from .models import ExponentialRate, NormalLocation, ParameterDomainError
+from .models import ExponentialRate, NormalLocation
 from .quadrature import DEFAULT_QUAD, QuadratureSpec
 
 Sample = Sequence[RandomMeasure]
 
-_GOLDEN = 0.381966011250105097
+_EPS = float(np.finfo(float).eps)
 
 
 class FitError(RuntimeError):
@@ -69,11 +74,13 @@ def failure_reason(exc: BaseException) -> str:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Bracket and tolerances for the one-dimensional solvers.
+    """Search bracket and tolerances of the solver.
 
-    The sandwich slope is a central difference with relative step
-    sqrt(``fd_step_rel``), scaled by max(|c|, 1) so parameters spanning
-    orders of magnitude behave.
+    ``fit`` stops once a Newton step is within ``param_tol`` (plus 4 eps
+    relative) and gives up after ``max_iter`` steps. ``objective_tol`` and
+    ``fd_step_rel`` are still accepted and validated but no longer read:
+    the solver stops on the parameter alone and the sandwich slope is
+    exact. They stay while callers such as the benchmark pin them.
     """
 
     bracket: tuple[float, float] | None = None
@@ -98,6 +105,13 @@ DEFAULT_CONFIG = OptimizerConfig()
 
 @dataclass(frozen=True)
 class FitResult:
+    """An estimate with the summed loss at it.
+
+    ``iterations`` counts the fit's evaluations of the sample (sums of W, Z
+    and Z' at one c, or of W alone in the fallback sweep), the sandwich
+    excluded.
+    """
+
     estimate: float
     n: int
     method: str
@@ -121,18 +135,6 @@ def w_value(family, c: float, measure: RandomMeasure,
     if value <= 0.0:
         return math.inf
     return -math.log(value)
-
-
-def _fd_step(family, c: float, rel_step: float) -> float:
-    h = rel_step * max(abs(c), 1.0)
-    lo, hi = family.param_bounds
-    if math.isfinite(lo):
-        h = min(h, 0.5 * (c - lo))
-    if math.isfinite(hi):
-        h = min(h, 0.5 * (hi - c))
-    if h <= 0:
-        raise ParameterDomainError(f"cannot differentiate at the domain boundary (c = {c})")
-    return h
 
 
 def z_value(family, c: float, measure: RandomMeasure,
@@ -168,7 +170,7 @@ def _measures(sample: Sample) -> Sample:
 
 
 class _SampleEvaluator:
-    """Sum-of-W / sum-of-Z oracles: a closed-form profile or a compiled panel rule.
+    """Per-measure W, Z and Z' of one sample: a closed-form profile or a compiled panel rule.
 
     The profile of a ``KernelSample`` is read off its columns, without
     touching its measures; a list is scanned once.
@@ -261,84 +263,36 @@ class _SampleEvaluator:
         means, sds, _ = data
         return (c - means) / (self.family.sigma1**2 + sds**2)
 
-    def sum_w(self, c: float) -> float:
-        return float(self.w_values(c).sum())
+    def terms(self, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """W, Z and the exact slope Z' = dZ/dc of every measure at c.
 
-    def sum_z(self, c: float) -> float:
-        return float(self.z_values(c).sum())
+        Raises ``FitError`` where some W is infinite, since Z is undefined
+        there. On the panel rule Z' = Z^2 - I''/I, with I, I' and I'' read
+        off the same accepted panels.
+        """
+        if self._profile is None:
+            values, grads, hessians = self._compiled().integrals_with_hess(c)
+            if not (values > 0).all():
+                raise FitError(f"loss is not finite at c = {c}; gradient undefined")
+            z = -grads / values
+            return -np.log(values), z, z * z - hessians / values
+        w = self.w_values(c)
+        if not np.isfinite(w).all():
+            raise FitError(f"loss is not finite at c = {c}; gradient undefined")
+        kind, data = self._profile
+        if kind == "dirac":
+            slope = np.full(self.n, -self.family.log_density_hess(c))
+        elif kind == "exp_gamma":
+            shapes, rates, _, _ = data
+            slope = 1.0 / (c * c) - shapes / (rates + c) ** 2
+        else:
+            _, sds, _ = data
+            slope = 1.0 / (self.family.sigma1**2 + sds**2)
+        return w, self.z_values(c), slope
 
 
 # ---------------------------------------------------------------------------
 # one-dimensional solvers
-
-
-def _brent_minimize(f, lo: float, hi: float, rel_tol: float, abs_tol: float,
-                    objective_tol: float, max_iter: int):
-    """Bounded Brent minimization tolerant of +inf objective values.
-
-    Terminates on the parameter interval; as a secondary rule, five
-    consecutive accepted steps that each improve the objective by less
-    than ``objective_tol`` (absolute) also count as converged.
-    """
-    x = lo + _GOLDEN * (hi - lo)
-    fx = f(x)
-    w_pt, f_w = x, fx
-    v_pt, f_v = x, fx
-    d = e = 0.0
-    iterations = 0
-    converged = False
-    flat_steps = 0
-    for iterations in range(1, max_iter + 1):
-        mid = 0.5 * (lo + hi)
-        tol1 = rel_tol * abs(x) + abs_tol
-        tol2 = 2.0 * tol1
-        if abs(x - mid) <= tol2 - 0.5 * (hi - lo) or flat_steps >= 5:
-            converged = True
-            break
-        take_golden = True
-        if abs(e) > tol1 and all(map(math.isfinite, (fx, f_w, f_v))):
-            r = (x - w_pt) * (fx - f_v)
-            q = (x - v_pt) * (fx - f_w)
-            p = (x - v_pt) * q - (x - w_pt) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            e_prev, e = e, d
-            if abs(p) < abs(0.5 * q * e_prev) and q * (lo - x) < p < q * (hi - x):
-                d = p / q
-                u = x + d
-                if (u - lo) < tol2 or (hi - u) < tol2:
-                    d = tol1 if x < mid else -tol1
-                take_golden = False
-        if take_golden:
-            e = (hi - x) if x < mid else (lo - x)
-            d = _GOLDEN * e
-        u = x + d if abs(d) >= tol1 else x + (tol1 if d > 0 else -tol1)
-        f_u = f(u)
-        if f_u <= fx:
-            if math.isfinite(f_u) and math.isfinite(fx) and fx - f_u < objective_tol:
-                flat_steps += 1
-            else:
-                flat_steps = 0
-            if u >= x:
-                lo = x
-            else:
-                hi = x
-            v_pt, f_v = w_pt, f_w
-            w_pt, f_w = x, fx
-            x, fx = u, f_u
-        else:
-            if u < x:
-                lo = u
-            else:
-                hi = u
-            if f_u <= f_w or w_pt == x:
-                v_pt, f_v = w_pt, f_w
-                w_pt, f_w = u, f_u
-            elif f_u <= f_v or v_pt == x or v_pt == w_pt:
-                v_pt, f_v = u, f_u
-    return x, fx, iterations, converged
 
 
 def _clip_bracket(family, bracket: tuple[float, float]) -> tuple[float, float]:
@@ -350,12 +304,21 @@ def _clip_bracket(family, bracket: tuple[float, float]) -> tuple[float, float]:
     return a, b
 
 
-def _scan_bracket(f, lo: float, hi: float, positive_domain: bool, points: int = 33):
-    """Coarse sweep locating a finite sub-bracket around the best objective.
+class _Point(NamedTuple):
+    """Summed loss, score and score slope at one parameter value."""
 
-    The loss can underflow to +inf over most of a wide bracket (deep tails),
-    where golden steps have nothing to compare; the sweep pins the search to
-    the finite valley first.
+    c: float
+    w: float
+    z: float
+    dz: float
+
+
+def _scan_bracket(f, lo: float, hi: float, positive_domain: bool, points: int = 33):
+    """Coarse sweep of the loss locating a finite sub-bracket around its best value.
+
+    Returns the sub-bracket and the best grid point with its loss (score
+    fields NaN). The loss can underflow to +inf over most of a wide bracket
+    (deep tails); the sweep pins the search to the finite valley.
     """
     if positive_domain and lo > 0:
         grid = np.geomspace(lo, hi, points)
@@ -366,34 +329,130 @@ def _scan_bracket(f, lo: float, hi: float, positive_domain: bool, points: int = 
     if not finite.any():
         raise FitError("objective is infinite over the search bracket")
     best = int(np.nanargmin(np.where(finite, values, np.inf)))
-    return grid[max(best - 1, 0)], grid[min(best + 1, points - 1)], points
+    point = _Point(float(grid[best]), float(values[best]), math.nan, math.nan)
+    return grid[max(best - 1, 0)], grid[min(best + 1, points - 1)], point
 
 
-def _expand_to_sign_change(g, a: float, b: float, family, valley,
-                           max_expand: int = 60):
-    """Geometric bracket growth toward the domain boundary until g changes sign.
+class _Probe:
+    """The evaluator as the solver calls it, counting its calls."""
 
-    Where g is undefined (FitError) or not finite at either starting end, as
-    when the loss underflows there, the growth starts instead from
-    ``valley(a, b)``, a sub-bracket around the finite valley of the loss,
-    narrowed again until g is finite at both of its ends.
-    """
-    dom_lo, dom_hi = family.param_bounds
-    positive = dom_lo >= 0.0
-    for _ in range(max_expand):
+    def __init__(self, evaluator: _SampleEvaluator) -> None:
+        self.evaluator = evaluator
+        self.calls = 0
+
+    def __call__(self, c: float) -> _Point | None:
+        """Sums of W, Z and Z' at c; None where the loss or its score is not finite."""
+        self.calls += 1
         try:
-            g_a, g_b = g(a), g(b)
+            w, z, dz = self.evaluator.terms(c)
         except FitError:
-            g_a = g_b = math.nan
-        if math.isfinite(g_a) and math.isfinite(g_b):
-            break
-        a, b = valley(a, b)
-    else:
-        raise FitError(f"estimating equation is not finite at both ends of ({a:g}, {b:g})")
+            return None
+        point = _Point(float(c), float(w.sum()), float(z.sum()), float(dz.sum()))
+        return point if math.isfinite(point.w) and math.isfinite(point.z) else None
+
+    def loss(self, c: float) -> float:
+        """Sum of W at c, +inf where the loss is not finite."""
+        self.calls += 1
+        return float(self.evaluator.w_values(c).sum())
+
+
+def _midpoint(a: float, b: float, positive: bool) -> float:
+    """Bisection point; geometric on a positive domain, where brackets span decades."""
+    return math.sqrt(a) * math.sqrt(b) if positive else 0.5 * (a + b)
+
+
+def _target(p: _Point, positive: bool) -> float:
+    """The function Newton steps aim to zero: c * sum Z on a positive domain, else sum Z.
+
+    Both have the same roots there; c * sum Z is nearly linear where sum Z
+    behaves like a - n / c, as the score of a rate or tail parameter does.
+    """
+    return p.c * p.z if positive else p.z
+
+
+def _step(p: _Point, positive: bool) -> float:
+    """Newton step for the target from p, with the exact slope; NaN where it has none."""
+    slope = p.z + p.c * p.dz if positive else p.dz
+    return -_target(p, positive) / slope if math.isfinite(slope) and slope != 0.0 else math.nan
+
+
+def _newton(probe: _Probe, a: float, pa: _Point | None, b: float, pb: _Point | None,
+            positive: bool, config: OptimizerConfig, ordered: bool):
+    """Safeguarded Newton for the root of the summed score between a and b.
+
+    An end point of None is one where the loss is not finite (it underflows
+    in a deep tail); the score counts as negative there at a and positive at
+    b, as on either side of a loss valley. Each step is a Newton step from
+    the end with the smaller target, or else from the other end. It is
+    replaced by bisection where both would leave the bracket, or where the
+    last Newton step did not halve the target. A point where the loss is not
+    finite replaces the end that is not finite either. Converged once a
+    Newton step, or the bracket, is within ``param_tol`` (plus 4 eps
+    relative); a last Newton step is taken without another evaluation.
+
+    Returns the converged point and whether it converged, or None where the
+    ends do not bracket a sign change (with ``ordered``, a rise through zero,
+    so a root of a loss maximum is not taken) or no finite point turns up
+    between two ends that are not finite.
+    """
+    for p in (pa, pb):
+        if p is not None and p.z == 0.0:
+            return p, True
+    low = -1.0 if pa is None else math.copysign(1.0, pa.z)
+    high = 1.0 if pb is None else math.copysign(1.0, pb.z)
+    if low == high or (ordered and low > 0):
+        return None
+    point = newton_from = None
+    for _ in range(config.max_iter):
+        ends = sorted((p for p in (pa, pb) if p is not None),
+                      key=lambda p: abs(_target(p, positive)))
+        steps = [(p, _step(p, positive)) for p in ends]
+        for p, step in steps:
+            if abs(step) <= config.param_tol + 4.0 * _EPS * abs(p.c):
+                # the loss moves by about step^2 * sum Z' over the last step,
+                # far below its rounding, so p's loss stands for the estimate's
+                return p._replace(c=p.c + step), True
+        if len(ends) == 2 and b - a <= config.param_tol + 4.0 * _EPS * abs(ends[0].c):
+            return ends[0], True
+        c = None
+        if newton_from is None or (abs(_target(point, positive))
+                                   <= 0.5 * abs(_target(newton_from, positive))):
+            for p, step in steps:
+                if a < p.c + step < b:
+                    c, newton_from = p.c + step, p
+                    break
+        if c is None:
+            c, newton_from = _midpoint(a, b, positive), None
+            if not a < c < b:  # an end that is not finite, squeezed onto a finite one
+                return None
+        point = probe(c)
+        if point is None:
+            newton_from = None
+            if pa is None and pb is None:
+                return None
+            if pa is not None and pb is not None:
+                raise FitError(f"loss is not finite at c = {c:g} inside a sign-change bracket")
+            if pa is None:
+                a = c
+            else:
+                b = c
+        elif point.z == 0.0:
+            return point, True
+        elif math.copysign(1.0, point.z) == low:
+            a, pa = c, point
+        else:
+            b, pb = c, point
+    return point, False
+
+
+def _expand(probe: _Probe, pa: _Point, pb: _Point, family, max_expand: int = 60):
+    """Geometric bracket growth toward the domain boundary until the score changes sign."""
+    dom_lo, dom_hi = family.param_bounds
+    a, b = pa.c, pb.c
     for _ in range(max_expand):
-        if math.isfinite(g_a) and math.isfinite(g_b) and g_a * g_b <= 0:
-            return a, b
-        if positive:
+        if pa.z * pb.z <= 0:
+            return pa, pb
+        if dom_lo >= 0.0:
             a = max(a / 8.0, 1e-300)
             b = min(b * 8.0, 1e300)
         else:
@@ -404,7 +463,9 @@ def _expand_to_sign_change(g, a: float, b: float, family, valley,
             a = max(a, dom_lo + 1e-300)
         if math.isfinite(dom_hi):
             b = min(b, dom_hi)
-        g_a, g_b = g(a), g(b)
+        pa, pb = probe(a), probe(b)
+        if pa is None or pb is None:
+            raise FitError(f"estimating equation is not finite at both ends of ({a:g}, {b:g})")
     raise FitError(
         f"estimating equation has no sign change on ({a:g}, {b:g}); "
         "no root bracketed within the parameter domain"
@@ -416,51 +477,58 @@ def fit(family, sample: Sample, config: OptimizerConfig = DEFAULT_CONFIG,
         compute_sandwich: bool = True) -> FitResult:
     """Estimate the parameter from a sample of random measures.
 
-    ``method="minimize"`` runs bounded Brent minimization of the summed
-    loss; ``method="zroot"`` solves the estimating equation by bracketed
-    root finding (expanding the bracket geometrically when needed). The two
-    agree at interior optima.
+    Both methods solve the summed estimating equation sum Z = 0 by
+    safeguarded Newton with the exact slope sum Z', inside a bracket across
+    which sum Z changes sign. The bracket comes from the clipped search
+    bracket, whose ends move in where the loss is not finite. Where that
+    finds no finite point or no sign change, ``method="minimize"`` sweeps the
+    summed loss for its best grid point and brackets the score around it; an
+    optimum at the end of the search bracket is returned as that end.
+    ``method="zroot"`` instead grows the bracket geometrically toward the
+    domain boundary, starting from the finite valley of the loss where the
+    score is undefined. The two agree at interior optima.
     """
+    if method not in ("minimize", "zroot"):
+        raise ValueError(f"unknown fit method {method!r}")
     measures = _measures(sample)
     if not measures:
         raise ValueError("sample must contain at least one measure")
     evaluator = _SampleEvaluator(family, measures, quad)
-    bracket = _clip_bracket(family, config.bracket or family.default_bracket())
+    probe = _Probe(evaluator)
+    a, b = _clip_bracket(family, config.bracket or family.default_bracket())
     positive = family.param_bounds[0] >= 0
 
-    if method == "minimize":
-        lo, hi, scan_evals = _scan_bracket(evaluator.sum_w, bracket[0], bracket[1], positive)
-        estimate, objective, iterations, converged = _brent_minimize(
-            evaluator.sum_w, lo, hi,
-            rel_tol=config.param_tol, abs_tol=config.param_tol * 1e-2,
-            objective_tol=config.objective_tol, max_iter=config.max_iter,
-        )
-        iterations += scan_evals
-        if not math.isfinite(objective):
-            raise FitError("objective is infinite over the search bracket")
-    elif method == "zroot":
-        valley = lambda lo, hi: _scan_bracket(evaluator.sum_w, lo, hi, positive)[:2]
-        a, b = _expand_to_sign_change(evaluator.sum_z, bracket[0], bracket[1], family,
-                                      valley)
-        estimate, results = optimize.brentq(
-            evaluator.sum_z, a, b, xtol=config.param_tol, rtol=4 * np.finfo(float).eps,
-            maxiter=config.max_iter, full_output=True,
-        )
-        converged = bool(results.converged)
-        iterations = int(results.iterations)
-        objective = evaluator.sum_w(float(estimate))
-    else:
-        raise ValueError(f"unknown fit method {method!r}")
-
+    ordered = method == "minimize"
+    pa, pb = probe(a), probe(b)
+    solved = _newton(probe, a, pa, b, pb, positive, config, ordered)
+    if solved is None and ordered:
+        lo, hi, best = _scan_bracket(probe.loss, a, b, positive)
+        solved = _newton(probe, lo, probe(lo), hi, probe(hi), positive, config, ordered)
+        if solved is None:
+            if best.c not in (a, b):
+                raise FitError("no minimum of the objective bracketed")
+            solved = best, True  # the loss is least at an end of the bracket
+    elif solved is None:
+        if pa is None or pb is None:
+            lo, hi, _ = _scan_bracket(probe.loss, a, b, positive)
+            pa, pb = probe(lo), probe(hi)
+            solved = _newton(probe, lo, pa, hi, pb, positive, config, ordered)
+            if solved is None and (pa is None or pb is None):
+                raise FitError(f"estimating equation is not finite at both ends of "
+                               f"({lo:g}, {hi:g})")
+        if solved is None:
+            pa, pb = _expand(probe, pa, pb, family)
+            solved = _newton(probe, pa.c, pa, pb.c, pb, positive, config, ordered)
+    point, converged = solved
     if not converged:
         raise FitError(f"{method} did not converge within {config.max_iter} iterations")
 
     result = FitResult(
-        estimate=float(estimate), n=evaluator.n, method=method,
-        converged=converged, iterations=iterations, objective=float(objective),
+        estimate=point.c, n=evaluator.n, method=method,
+        converged=converged, iterations=probe.calls, objective=point.w,
     )
     if compute_sandwich:
-        m_hat, j_hat, v_hat = sandwich(family, result.estimate, measures, quad, config)
+        m_hat, j_hat, v_hat = _sandwich(evaluator, result.estimate)
         result = FitResult(
             estimate=result.estimate, n=result.n, method=result.method,
             converged=result.converged, iterations=result.iterations,
@@ -475,16 +543,17 @@ def sandwich(family, estimate: float, sample: Sample,
              config: OptimizerConfig = DEFAULT_CONFIG) -> tuple[float, float, float]:
     """Slope / second-moment / variance triple at the estimate.
 
-    The gradients are exact derivatives of the loss; the slope is a central
-    finite difference of their mean with step sqrt(fd_step_rel); the
-    variance is second moment over squared slope.
+    The gradients and the slope, their mean derivative, are exact
+    derivatives of the loss; the variance is second moment over squared
+    slope. ``config`` is accepted for compatibility and not read.
     """
-    evaluator = _SampleEvaluator(family, _measures(sample), quad)
-    z = evaluator.z_values(estimate)
+    return _sandwich(_SampleEvaluator(family, _measures(sample), quad), estimate)
+
+
+def _sandwich(evaluator: _SampleEvaluator, estimate: float) -> tuple[float, float, float]:
+    _, z, slopes = evaluator.terms(estimate)
     j_hat = float(np.mean(z * z))
-    h = _fd_step(family, estimate, math.sqrt(config.fd_step_rel))
-    m_hat = (evaluator.sum_z(estimate + h) - evaluator.sum_z(estimate - h)) \
-        / (2.0 * h * evaluator.n)
+    m_hat = float(np.mean(slopes))
     scale = max(1.0, math.sqrt(j_hat))
     if not math.isfinite(m_hat) or abs(m_hat) <= 1e-10 * scale:
         raise SingularSlopeError(

@@ -445,6 +445,17 @@ def ramp_domain(family, comp: CdfRamp, quad: QuadratureSpec, c: float | None = N
     return lo, _kernel_knots(comp.kernel, lo, quad)
 
 
+def _with_peak_knots(family, c: float, knots: np.ndarray) -> np.ndarray:
+    """The knots plus those of the family's peak at c that fall inside them.
+
+    A kernel much wider than the family puts the family's peak inside one
+    wide panel, where the Gauss nodes can miss it. These knots depend on c,
+    so ``density_knots`` and ``ramp_domain`` leave them out.
+    """
+    peak = family.peak_knots(c)
+    return np.concatenate([knots, peak[(peak > knots[0]) & (peak < knots[-1])]])
+
+
 def _density_component_integral(family, c: float, comp: WeightedDensity,
                                 quad: QuadratureSpec) -> float:
     knots = density_knots(family, comp, quad)
@@ -452,7 +463,7 @@ def _density_component_integral(family, c: float, comp: WeightedDensity,
         return 0.0
     kernel = comp.kernel
     integrand = lambda x: family.density(c, x) * kernel.pdf(x)
-    return comp.weight * integrate_panels(integrand, knots, quad)
+    return comp.weight * integrate_panels(integrand, _with_peak_knots(family, c, knots), quad)
 
 
 def _ramp_component_integral(family, c: float, comp: CdfRamp,
@@ -466,7 +477,7 @@ def _ramp_component_integral(family, c: float, comp: CdfRamp,
         return base
     kernel = comp.kernel
     integrand = lambda x: family.density(c, x) * kernel.sf(x)
-    return base - integrate_panels(integrand, knots, quad)
+    return base - integrate_panels(integrand, _with_peak_knots(family, c, knots), quad)
 
 
 def integrate(family, c: float, measure: RandomMeasure,
@@ -500,6 +511,18 @@ def integrate(family, c: float, measure: RandomMeasure,
 # compiled integration: one sample, many parameter values
 
 
+def _split_at(lo: np.ndarray, hi: np.ndarray, knots: np.ndarray, width: float):
+    """Panels [lo_i, hi_i], each one wider than ``width`` cut at the knots inside it."""
+    inside = np.searchsorted(knots, hi, "left") - np.searchsorted(knots, lo, "right")
+    wide = (inside > 0) & (hi - lo > width)
+    if not wide.any():
+        return lo, hi
+    cuts = [np.concatenate(([a], knots[(knots > a) & (knots < b)], [b]))
+            for a, b in zip(lo[wide], hi[wide])]
+    return (np.concatenate([lo[~wide], *(p[:-1] for p in cuts)]),
+            np.concatenate([hi[~wide], *(p[1:] for p in cuts)]))
+
+
 class PanelRule:
     """The measures of one sample compiled for integration at many c.
 
@@ -520,10 +543,17 @@ class PanelRule:
     budget and errors, and keeps its refined panels for later c. Where that
     fails from panels refined at earlier c, the component is refined once
     more from its compile-time panels before the error is raised, so a
-    rule's history never makes it fail where ``integrate`` succeeds.
+    rule's history never makes it fail where ``integrate`` succeeds. A
+    family whose density peaks inside its support (the normal location)
+    has its peak knots at c cut into every panel wider than their spacing
+    before the check, since Gauss nodes straddling a narrow peak agree on a
+    wrong value. The cut serves that c only, unless a refinement at c
+    repacks the rule, which then keeps it.
     ``integrals_with_grad(c)`` also returns the exact derivatives I'(c), read
     off the panels accepted for I(c): the density times its score at the
     same nodes, and the parameter derivative of each survival term.
+    ``integrals_with_hess(c)`` adds I''(c) from the same panels: the density
+    times (score^2 + score'), and each survival term's second derivative.
     """
 
     def __init__(self, family, measures, quad: QuadratureSpec = DEFAULT_QUAD) -> None:
@@ -607,15 +637,29 @@ class PanelRule:
 
     def integrals(self, c: float) -> np.ndarray:
         """Integral of the family density against each measure, in sample order."""
-        return self._evaluate(c, grad=False)[0]
+        return self._evaluate(c, 0)[0]
 
     def integrals_with_grad(self, c: float) -> tuple[np.ndarray, np.ndarray]:
         """Integrals and their exact derivatives in c, in sample order."""
-        return self._evaluate(c, grad=True)
+        return self._evaluate(c, 1)
 
-    def _evaluate(self, c: float, grad: bool):
+    def integrals_with_hess(self, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Integrals with their exact first and second derivatives in c, in sample order."""
+        return self._evaluate(c, 2)
+
+    def _evaluate(self, c: float, order: int):
+        """I(c) and, up to ``order``, its derivatives, from the panels accepted for I(c)."""
+        self.family.check_param(c)
+        uncut = self._cut_at_peak(c)
+        cut = self._lo
+        try:
+            return self._evaluate_packed(c, order)
+        finally:
+            if uncut is not None and self._lo is cut:  # no refinement kept the cut
+                self._packed = uncut
+
+    def _evaluate_packed(self, c: float, order: int):
         family, quad = self.family, self.quad
-        family.check_param(c)
         dens = family.density(c, self._nodes)
         high = (dens[self._high].reshape(self._w_high.shape) * self._w_high).sum(axis=1)
         low = (dens[self._low].reshape(self._w_low.shape) * self._w_low).sum(axis=1)
@@ -628,42 +672,97 @@ class PanelRule:
             raise QuadratureError("integrand produced non-finite values")
         if failing.any():
             totals = self._refine(c, np.flatnonzero(failing), totals, high, err)
-            if grad:
+            if order:
                 dens = family.density(c, self._nodes)  # the nodes of the refined panels
         n_atoms = len(self._atom_x)
         ramp_z = (c - self._ramp_mean) / self._ramp_sd
-        terms = np.concatenate([
+        values = self._by_measure(
             dens[:n_atoms],
             self._tail_height * family.survival(c, self._tail_lower),
             special.ndtr(ramp_z),
-            self._scale * totals,
-        ])
-        values = np.bincount(self._owner, terms, minlength=self._n_slots)[self._slot_of]
-        if not grad:
+            totals,
+        )
+        if not order:
             return values, None
-        # density times score at the atoms and high-rule nodes; nodes below
-        # the support carry zero density
+        # density times score (and its square plus derivative) at the atoms
+        # and high-rule nodes; nodes below the support carry zero density
         scored = self._nodes[:self._high.stop]
-        dens_grad = dens[:len(scored)] * family.log_density_grad(
-            c, np.maximum(scored, family.support_lower))
-        high_grad = (dens_grad[self._high].reshape(self._w_high.shape) * self._w_high).sum(axis=1)
-        grad_terms = np.concatenate([
+        score = family.log_density_grad(c, np.maximum(scored, family.support_lower))
+        dens_grad = dens[:len(scored)] * score
+        ramp_pdf = np.exp(-0.5 * ramp_z * ramp_z) / (_SQRT_2PI * self._ramp_sd)
+        grads = self._by_measure(
             dens_grad[:n_atoms],
             self._tail_height * family.survival_grad(c, self._tail_lower),
-            np.exp(-0.5 * ramp_z * ramp_z) / (_SQRT_2PI * self._ramp_sd),
-            self._scale * np.add.reduceat(high_grad, self._starts),
-        ])
-        return values, np.bincount(self._owner, grad_terms, minlength=self._n_slots)[self._slot_of]
+            ramp_pdf,
+            self._high_sums(dens_grad),
+        )
+        if order == 1:
+            return values, grads
+        dens_hess = dens_grad * score + dens[:len(scored)] * family.log_density_hess(c)
+        hessians = self._by_measure(
+            dens_hess[:n_atoms],
+            self._tail_height * family.survival_hess(c, self._tail_lower),
+            -ramp_z * ramp_pdf / self._ramp_sd,
+            self._high_sums(dens_hess),
+        )
+        return values, grads, hessians
+
+    def _high_sums(self, node_values: np.ndarray) -> np.ndarray:
+        """Per-component high-rule sums of values given at the atoms and high-rule nodes."""
+        per_panel = node_values[self._high].reshape(self._w_high.shape) * self._w_high
+        return np.add.reduceat(per_panel.sum(axis=1), self._starts)
+
+    def _by_measure(self, atoms, tails, ramps, components) -> np.ndarray:
+        """Sum the terms of each kind into their measures, in sample order."""
+        terms = np.concatenate([atoms, tails, ramps, self._scale * components])
+        return np.bincount(self._owner, terms, minlength=self._n_slots)[self._slot_of]
+
+    def _rules(self) -> list:
+        """The components' panels, nodes and weights, as ``_pack`` takes them."""
+        x_high = self._nodes[self._high].reshape(self._w_high.shape)
+        x_low = self._nodes[self._low].reshape(self._w_low.shape)
+        ends = np.append(self._starts[1:], len(self._lo))
+        return [(self._lo[s:e], self._hi[s:e], x_high[s:e], self._w_high[s:e],
+                 x_low[s:e], self._w_low[s:e]) for s, e in zip(self._starts, ends)]
+
+    _PACKED = ("_starts", "_lo", "_hi", "_w_high", "_w_low", "_nodes", "_high", "_low")
+
+    @property
+    def _packed(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._PACKED)
+
+    @_packed.setter
+    def _packed(self, state: tuple) -> None:
+        for name, value in zip(self._PACKED, state):
+            setattr(self, name, value)
+
+    def _cut_at_peak(self, c: float):
+        """Cut the family's peak knots at c into every panel wider than their spacing.
+
+        Returns the packed state from before the cut, or None when nothing was cut.
+        """
+        peak = self.family.peak_knots(c)
+        if not (peak.size and self.panels):
+            return None
+        width = float(np.diff(peak).min())
+        if len(_split_at(self._lo, self._hi, peak, width)[0]) == self.panels:
+            return None
+        uncut = self._packed
+        rules = self._rules()
+        for k, rule in enumerate(rules):
+            lo, hi = _split_at(rule[0], rule[1], peak, width)
+            if len(lo) > len(rule[0]):
+                rules[k] = self._component_rule(self._weight_fns[k], lo, hi)
+        self._pack(rules)
+        return uncut
 
     def _refine(self, c: float, failing: np.ndarray, totals: np.ndarray,
                 high: np.ndarray, err: np.ndarray) -> np.ndarray:
         """Bisect the failing components at c, then pack all panels once."""
         family = self.family
-        x_high = self._nodes[self._high].reshape(self._w_high.shape)
-        x_low = self._nodes[self._low].reshape(self._w_low.shape)
+        peak = family.peak_knots(c)
+        rules = self._rules()
         ends = np.append(self._starts[1:], len(self._lo))
-        rules = [(self._lo[s:e], self._hi[s:e], x_high[s:e], self._w_high[s:e],
-                  x_low[s:e], self._w_low[s:e]) for s, e in zip(self._starts, ends)]
         totals = totals.copy()
         for k in failing:
             g, s, e = self._weight_fns[k], self._starts[k], ends[k]
@@ -675,9 +774,12 @@ class PanelRule:
                 # panels refined at earlier c can stall where the compile-time
                 # panels do not: refine once from those, as ``integrate`` does
                 knots = self._knots[k]
-                if e - s == len(knots) - 1:  # no earlier refinement to undo
+                lo, hi = knots[:-1], knots[1:]
+                if peak.size:
+                    lo, hi = _split_at(lo, hi, peak, float(np.diff(peak).min()))
+                if e - s == len(lo):  # no earlier refinement to undo
                     raise
-                totals[k], lo, hi = refine_panels(integrand, knots[:-1], knots[1:], self.quad)
+                totals[k], lo, hi = refine_panels(integrand, lo, hi, self.quad)
             rules[k] = self._component_rule(g, lo, hi)
         self._pack(rules)
         return totals

@@ -1,8 +1,10 @@
 """One-parameter density families used by the fitting layer.
 
-Each family exposes a density, CDF, survival function, the parameter
-derivative of the survival function and the parameter score of the log
-density, all vectorized over the observation argument.
+Each family exposes a density, CDF, survival function, the first and
+second parameter derivatives of the survival function and the parameter
+score of the log density, all vectorized over the observation argument,
+plus the score's parameter derivative, which for these families does not
+depend on the observation, and the knots that resolve the density's peak.
 Survival functions are analytic so improper tail components integrate
 exactly, and parameter-domain violations raise instead of clamping (the
 optimizers rely on hard domain walls).
@@ -18,6 +20,8 @@ import numpy as np
 from scipy import special
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_PEAK_OFFSETS = np.array([-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0])
+_NO_KNOTS = np.empty(0)
 
 
 class ParameterDomainError(ValueError):
@@ -68,13 +72,27 @@ class NormalLocation:
         """Derivative of the survival function in the parameter."""
         return self.density(c, x)
 
+    def survival_hess(self, c, x):
+        """Second derivative of the survival function in the parameter."""
+        xs = np.asarray(x, dtype=float)
+        return _maybe_float(x, (xs - c) / self.sigma1**2 * self.density(c, xs))
+
     def log_density_grad(self, c, x):
         self.check_param(c)
         return _maybe_float(x, (np.asarray(x, dtype=float) - c) / self.sigma1**2)
 
+    def log_density_hess(self, c) -> float:
+        """Derivative of the score in the parameter."""
+        self.check_param(c)
+        return -1.0 / self.sigma1**2
+
     def low_cutoff(self, c: float, mass: float) -> float:
         """Point below which the family keeps less than ``mass`` probability."""
         return c + self.sigma1 * special.ndtri(mass)
+
+    def peak_knots(self, c: float) -> np.ndarray:
+        """Points that resolve the density's peak at c: c and c +- 1, 2, 4, 8 sigma1."""
+        return c + self.sigma1 * _PEAK_OFFSETS
 
     def default_bracket(self):
         return (-1e3, 1e3)
@@ -115,6 +133,11 @@ class ExponentialRate:
         xs = np.maximum(np.asarray(x, dtype=float), 0.0)
         return _maybe_float(x, -xs * np.exp(-c * xs))
 
+    def survival_hess(self, c, x):
+        self.check_param(c)
+        xs = np.maximum(np.asarray(x, dtype=float), 0.0)
+        return _maybe_float(x, xs * xs * np.exp(-c * xs))
+
     def log_density_grad(self, c, x):
         self.check_param(c)
         xs = np.asarray(x, dtype=float)
@@ -122,8 +145,16 @@ class ExponentialRate:
             raise SupportError("exponential observations must be nonnegative")
         return _maybe_float(x, 1.0 / c - xs)
 
+    def log_density_hess(self, c) -> float:
+        self.check_param(c)
+        return -1.0 / (c * c)
+
     def low_cutoff(self, c: float, mass: float) -> float:
         return 0.0
+
+    def peak_knots(self, c: float) -> np.ndarray:
+        """No knots: the density decays from the support edge, which edge knots resolve."""
+        return _NO_KNOTS
 
     def default_bracket(self):
         return (1e-3, 1e3)
@@ -176,6 +207,12 @@ class ParetoTail:
         ratio = np.maximum(np.asarray(x, dtype=float), self.x0) / self.x0
         return _maybe_float(x, -np.log(ratio) * ratio ** (-c))
 
+    def survival_hess(self, c, x):
+        self.check_param(c)
+        ratio = np.maximum(np.asarray(x, dtype=float), self.x0) / self.x0
+        log_ratio = np.log(ratio)
+        return _maybe_float(x, log_ratio * log_ratio * ratio ** (-c))
+
     def log_density_grad(self, c, x):
         self.check_param(c)
         xs = np.asarray(x, dtype=float)
@@ -183,8 +220,16 @@ class ParetoTail:
             raise SupportError(f"pareto observations must be >= x0 = {self.x0}")
         return _maybe_float(x, 1.0 / c - np.log(xs / self.x0))
 
+    def log_density_hess(self, c) -> float:
+        self.check_param(c)
+        return -1.0 / (c * c)
+
     def low_cutoff(self, c: float, mass: float) -> float:
         return self.x0
+
+    def peak_knots(self, c: float) -> np.ndarray:
+        """No knots: the density decays from the support edge, which edge knots resolve."""
+        return _NO_KNOTS
 
     def default_bracket(self):
         return (1e-3, 1e3)

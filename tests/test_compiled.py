@@ -34,7 +34,8 @@ from measurefit import (
     w_value,
     z_value,
 )
-from measurefit.estimator import _SampleEvaluator
+from measurefit import measure
+from measurefit.estimator import FitError, _SampleEvaluator
 from measurefit.measure import PanelRule
 from measurefit.quadrature import DEFAULT_QUAD, QuadratureError
 
@@ -169,9 +170,9 @@ def test_panels_refined_at_one_c_are_checked_again_at_another():
 
 
 def test_panels_that_stall_after_earlier_refinements_restart_from_compile_time():
-    # the panels refined at c = -40 ... -10 stall at c = -5 ("error estimate
-    # stalled at 1.8e-08"), where the compile-time panels converge; at
-    # c = -35 it is ``integrate`` that stalls, so only the rule is evaluated
+    # a rule evaluated at c = -40 ... -10 gives at c = -5 what a fresh rule
+    # gives: the family's peak knots cut at those c serve them only, so no
+    # panels refined there can stall at -5 where compile-time panels converge
     family = NormalLocation(sigma1=1.3)
     measures = [RandomMeasure((WeightedDensity(1.0, NormalKernel(0.0, 1000.0)),))]
     rule = PanelRule(family, measures)
@@ -181,6 +182,44 @@ def test_panels_that_stall_after_earlier_refinements_restart_from_compile_time()
     assert rule.integrals(-5.0)[0] == fresh.integrals(-5.0)[0]
     assert rule.panels == fresh.panels
     assert_matches_oracle(family, measures, [-5.0, 0.0, 5.0], rule=rule)
+
+
+def test_rule_resolves_the_family_peak_under_a_wide_normal_kernel():
+    # the family's peak at c sits inside one 674-wide kernel panel, where
+    # both Gauss rules missed it together (I = 0 at c = -60) or stalled
+    # (c = -35); one rule across the whole sweep and a fresh rule per c
+    family = NormalLocation(sigma1=1.3)
+    measures = [RandomMeasure((WeightedDensity(1.0, NormalKernel(0.0, 1000.0)),))]
+    s = math.hypot(1.3, 1000.0)
+    rule = PanelRule(family, measures)
+    for c in np.linspace(-60.0, 60.0, 241):
+        exact = math.exp(-0.5 * (c / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
+        for r in (rule, PanelRule(family, measures)):
+            values, grads = r.integrals_with_grad(c)
+            assert values[0] == pytest.approx(exact, rel=1e-9), c
+            assert -grads[0] / values[0] == pytest.approx(c / s**2, rel=1e-7, abs=1e-15), c
+
+
+def test_a_stall_from_refined_panels_restarts_from_compile_time(monkeypatch):
+    # bisection resumed from panels refined at an earlier c is made to stall;
+    # each such component is refined once more from its compile-time panels
+    family = ParetoTail(x0=1.0)
+    measures = [make_gamma_bridge(w, w * z, 100.0, "A")
+                for w, z in [(1.1, 1.0), (1.6, 2.5), (3.0, 1.3), (9.0, 4.0), (25.0, 1.05)]]
+    rule = PanelRule(family, measures)
+    compile_time = np.concatenate(rule._knots)
+    rule.integrals(1e-3)
+    refine, resumed = measure.refine_panels, []
+
+    def stall_when_resumed(f, lo, hi, spec, estimates=None):
+        if estimates is not None and not np.isin(lo, compile_time).all():
+            resumed.append(len(lo))
+            raise QuadratureError("error estimate stalled (simulated)")
+        return refine(f, lo, hi, spec)
+
+    monkeypatch.setattr(measure, "refine_panels", stall_when_resumed)
+    assert_matches_oracle(family, measures, [0.075], rule=rule)
+    assert resumed
 
 
 def test_subdivision_budget_exhaustion_still_raises():
@@ -240,12 +279,16 @@ def _z_sample(family, sigma2):
     return measures
 
 
-@pytest.mark.parametrize("family, cs", [
+Z_FAMILIES = [
     (ParetoTail(x0=1.0), np.geomspace(1e-3, 1e3, 13)),
     (ExponentialRate(), np.geomspace(1e-3, 1e3, 13)),
     (NormalLocation(sigma1=1.0), [-1e3, *np.linspace(-20.0, 20.0, 9), 1e3]),
-])
-@pytest.mark.parametrize("sigma2", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+]
+Z_SIGMA2 = [1e-8, 1e-4, 1.0, 1e4, 1e8]
+
+
+@pytest.mark.parametrize("family, cs", Z_FAMILIES)
+@pytest.mark.parametrize("sigma2", Z_SIGMA2)
 def test_rule_z_matches_differences_of_w(family, cs, sigma2):
     # acceptance 07's step and bound, on every measure whose integral is in
     # the range where the quadrature tolerance is relative (I >= abs/rel tol)
@@ -268,7 +311,7 @@ def test_rule_z_matches_differences_of_w(family, cs, sigma2):
     assert (compared > 0).all()
 
 
-@pytest.mark.parametrize("family, measures, cs", [
+CLOSED_FORM_SAMPLES = [
     (ExponentialRate(),
      [RandomMeasure((WeightedDensity(w, GammaKernel(x / s2, 1.0 / s2, shift=shift)),))
       for x, w in [(0.3, 1.0), (2.5, 0.4), (7.0, 1.0)] for shift in (0.0, 0.4)
@@ -278,7 +321,10 @@ def test_rule_z_matches_differences_of_w(family, cs, sigma2):
      [RandomMeasure((WeightedDensity(w, NormalKernel(u, sd)),))
       for u, w in [(-3.0, 1.0), (0.5, 0.4), (4.0, 1.0)] for sd in (1e-4, 1e-2, 0.3, 1.0, 10.0)],
      np.linspace(-40.0, 40.0, 17)),
-])
+]
+
+
+@pytest.mark.parametrize("family, measures, cs", CLOSED_FORM_SAMPLES)
 def test_rule_z_matches_closed_form_profiles(family, measures, cs):
     closed = _SampleEvaluator(family, measures, DEFAULT_QUAD)
     # one right-censoring tail moves the whole sample onto the panel rule
@@ -314,3 +360,67 @@ def test_z_values_on_a_compiled_sample_make_no_integrate_call(monkeypatch):
         for c, z_want in zip(cs, want):
             assert np.isfinite(evaluator.w_values(c)).all()
             assert evaluator.z_values(c).tolist() == pytest.approx(z_want, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# exact curvature: I'' read off the same panels, and Z' = Z^2 - I''/I
+
+
+def _parameter_scale(family, c):
+    """The scale the family's parameter moves on at c: sigma1 for a location, c for a rate."""
+    return family.sigma1 if isinstance(family, NormalLocation) else c
+
+
+@pytest.mark.parametrize("family, cs", Z_FAMILIES)
+@pytest.mark.parametrize("sigma2", Z_SIGMA2)
+def test_rule_hess_matches_differences_of_grad(family, cs, sigma2):
+    # a 4-point difference of the rule's I' with a step of 1e-3 parameter
+    # scales; its truncation and the quadrature noise it divides were seen
+    # below 6e-11 of the bound's scale |I''| + I / scale^2
+    measures = _z_sample(family, sigma2)
+    rule = PanelRule(family, measures)
+    compared = np.zeros(len(measures), dtype=int)
+    for c in map(float, cs):
+        scale = _parameter_scale(family, c)
+        values, _, hess = rule.integrals_with_hess(c)
+        h = 1e-3 * scale
+        g = [rule.integrals_with_grad(c + k * h)[1] for k in (-2, -1, 1, 2)]
+        fd = (g[0] - 8.0 * g[1] + 8.0 * g[2] - g[3]) / (12.0 * h)
+        keep = values >= DEFAULT_QUAD.abs_tol / DEFAULT_QUAD.rel_tol
+        bound = 1e-7 * (np.abs(fd) + values / scale**2)
+        assert (np.abs(hess - fd) <= bound)[keep].all(), (c, np.flatnonzero(
+            keep & (np.abs(hess - fd) > bound)))
+        compared += keep
+    assert (compared > 0).all()
+
+
+@pytest.mark.parametrize("family, measures, cs", CLOSED_FORM_SAMPLES + [
+    (ParetoTail(x0=1.0), [make_dirac(x) for x in (1.0, 1.2, 3.0, 40.0)],
+     np.geomspace(1e-3, 1e2, 11)),
+    (ExponentialRate(), [make_dirac(x) for x in (0.0, 0.2, 3.0, 40.0)],
+     np.geomspace(1e-3, 10.0, 9)),
+    (NormalLocation(sigma1=0.7), [make_dirac(x) for x in (-2.0, 0.2, 3.0)],
+     np.linspace(-20.0, 20.0, 9)),
+])
+def test_rule_slope_matches_closed_form_profiles(family, measures, cs):
+    # Z' = Z^2 - I''/I cancels terms of size Z^2, so the error is bounded
+    # relative to |Z'| + Z^2; it was seen below 8e-12 of that
+    closed = _SampleEvaluator(family, measures, DEFAULT_QUAD)
+    # one right-censoring tail moves the whole sample onto the panel rule
+    compiled = _SampleEvaluator(family, measures + [make_right_censoring(1.0, 0)], DEFAULT_QUAD)
+    assert closed._profile is not None and compiled._profile is None
+    compared = 0
+    for c in map(float, cs):
+        _, z_exact, slope_exact = closed.terms(c)
+        try:
+            slope = compiled.terms(c)[2][:-1]
+        except FitError:  # some integral underflows to 0 at this c
+            continue
+        values = compiled._compiled().integrals(c)[:-1]
+        keep = values >= DEFAULT_QUAD.abs_tol / DEFAULT_QUAD.rel_tol
+        np.testing.assert_array_less(
+            np.abs(slope - slope_exact)[keep],
+            1e-9 * (np.abs(slope_exact) + z_exact * z_exact)[keep] + 1e-300,
+            err_msg=f"c = {c}")
+        compared += keep.sum()
+    assert compared >= len(measures)

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from measurefit import (
     ConstantTail,
     DiracAtom,
+    ExpGammaSpec,
     ExponentialRate,
     FitError,
     GammaKernel,
     NormalKernel,
     NormalLocation,
+    NormalNormalSpec,
     OptimizerConfig,
     ParetoTail,
     RandomMeasure,
@@ -27,9 +29,13 @@ from measurefit import (
     make_right_censoring,
     per_point_loglik,
     sandwich,
+    simulate_scenario,
     w_value,
     z_value,
 )
+from measurefit import estimator
+from measurefit.estimator import _SampleEvaluator
+from measurefit.measure import PanelRule
 from measurefit.tailstudy import build_bridge_sample, synthesize_claims
 
 
@@ -233,6 +239,75 @@ def test_fit_zroot_where_loss_underflows_at_bracket_ends(build, seed, bracket):
     assert b.estimate == pytest.approx(a.estimate, rel=1e-7)
 
 
+class _CountingEvaluator(_SampleEvaluator):
+    """Counts every evaluation a fit asks of its sample."""
+
+    calls = 0
+
+    def w_values(self, c):
+        type(self).calls += 1
+        return super().w_values(c)
+
+    def z_values(self, c):
+        type(self).calls += 1
+        return super().z_values(c)
+
+    def terms(self, c):
+        if self._profile is not None:  # profile terms read w_values and z_values
+            type(self).calls -= 2
+        type(self).calls += 1
+        return super().terms(c)
+
+
+@pytest.mark.parametrize("method", ["minimize", "zroot"])
+def test_claims_fit_makes_few_evaluator_calls(monkeypatch, method):
+    # Newton steps on the exact slope from the bracket ends; a 33-point scan
+    # of the loss alone would exceed the bound
+    family, sample = _claims_bridge_sample(7)
+    monkeypatch.setattr(estimator, "_SampleEvaluator", _CountingEvaluator)
+    _CountingEvaluator.calls = 0
+    res = fit(family, sample, OptimizerConfig(bracket=(1e-3, 1e3)), method=method,
+              compute_sandwich=False)
+    assert res.converged
+    assert _CountingEvaluator.calls <= 15
+    assert res.iterations == _CountingEvaluator.calls
+
+
+@pytest.mark.parametrize("build, seed", [
+    (_claims_bridge_sample, 7), (_claims_bridge_sample, 1_000_003),
+    (_normal_ramp_sample, [1, 1]), (_normal_ramp_sample, [1, 3]),
+])
+def test_minimize_and_zroot_agree_on_interior_optima(build, seed):
+    family, sample = build(seed)
+    a = fit(family, sample, method="minimize", compute_sandwich=False)
+    b = fit(family, sample, method="zroot", compute_sandwich=False)
+    assert a.estimate == pytest.approx(b.estimate, rel=1e-12)
+    assert a.objective == pytest.approx(b.objective, rel=1e-12)
+    z = sum(z_value(family, a.estimate, m) for m in sample)
+    assert abs(z) <= 1e-6
+
+
+def test_minimize_returns_the_bracket_end_at_a_boundary_optimum(exp_family):
+    # atoms with mean 0.5 put the optimum at rate 2, below the bracket
+    sample = [make_dirac(x) for x in (0.25, 0.5, 0.75)]
+    config = OptimizerConfig(bracket=(5.0, 10.0))
+    res = fit(exp_family, sample, config, method="minimize", compute_sandwich=False)
+    assert res.estimate == 5.0
+    assert res.objective == pytest.approx(-generalized_loglik(exp_family, 5.0, sample))
+    assert fit(exp_family, sample, config, method="zroot").estimate == pytest.approx(2.0)
+
+
+def test_fit_finds_a_narrow_valley_off_the_bracket_center():
+    # the loss is finite only within about 38 of the atoms at 900 and 901,
+    # so both ends and the bracket's midpoint underflow and the sweep of the
+    # loss brackets the valley
+    family = NormalLocation(1.0)
+    sample = [make_dirac(900.0), make_dirac(901.0)]
+    for method in ("minimize", "zroot"):
+        res = fit(family, sample, method=method, compute_sandwich=False)
+        assert res.estimate == pytest.approx(900.5, abs=1e-10)
+
+
 def test_fit_empty_sample_rejected(exp_family):
     with pytest.raises(ValueError):
         fit(exp_family, [])
@@ -264,6 +339,46 @@ def test_sandwich_matches_classical_exponential(exp_family, rng):
     # classical: slope 1/c^2, score moment Var(X), variance c^2 at the truth
     assert m == pytest.approx(1.0 / res.estimate**2, rel=1e-5)
     assert v == pytest.approx(0.25, rel=0.05)
+
+
+@pytest.mark.parametrize("spec", [
+    ExpGammaSpec(0.5, 0.5), ExpGammaSpec(2.0, 0.1),
+    NormalNormalSpec(2.0, 1.0, noise_mean=0.1, noise_sd=0.3, expert_sd=0.7),
+])
+def test_v_hat_equals_the_analytic_sandwich(spec):
+    # the closed-form profiles' Z and exact Z', summed by hand
+    sample = simulate_scenario(spec, 400, seed=5)
+    if sample.kind == "gamma":
+        family = ExponentialRate()
+        res = fit(family, sample, method="zroot")
+        cols, c = sample.columns, res.estimate
+        z = cols["shift"] + cols["shape"] / (cols["rate"] + c) - 1.0 / c
+        slope = 1.0 / c**2 - cols["shape"] / (cols["rate"] + c) ** 2
+    else:
+        family = NormalLocation(1.0)
+        res = fit(family, sample, method="zroot")
+        s2 = 1.0 + sample.columns["sd"] ** 2
+        z = (res.estimate - sample.columns["mean"]) / s2
+        slope = 1.0 / s2
+    m_hat, j_hat = np.mean(slope), np.mean(z * z)
+    assert res.m_hat == pytest.approx(m_hat, rel=1e-12)
+    assert res.v_hat == pytest.approx(j_hat / m_hat**2, rel=1e-10)
+
+
+def test_fit_with_sandwich_compiles_one_rule(monkeypatch):
+    built = []
+
+    class CountingRule(PanelRule):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(estimator, "PanelRule", CountingRule)
+    family, sample = _claims_bridge_sample(7)
+    res = fit(family, sample, OptimizerConfig(bracket=(1e-3, 1e3)))
+    assert len(built) == 1
+    assert (res.m_hat, res.j_hat, res.v_hat) == pytest.approx(
+        sandwich(family, res.estimate, sample), rel=1e-9)
 
 
 def test_sandwich_invariant_to_reordering(exp_family, rng):

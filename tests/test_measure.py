@@ -12,6 +12,7 @@ from measurefit import (
     ExponentialRate,
     GammaKernel,
     NormalKernel,
+    NormalLocation,
     ParetoTail,
     RandomMeasure,
     WeightedDensity,
@@ -145,6 +146,17 @@ def test_integrate_exp_gamma_closed_form(exp_family):
 def test_integrate_pareto_constant_tail(pareto_family):
     measure = RandomMeasure((ConstantTail(2.0, 1.0),))
     assert integrate(pareto_family, 1.0, measure) == pytest.approx(0.5)
+
+
+def test_integrate_resolves_the_family_peak_under_a_wide_normal_kernel():
+    # the family's peak at c sits inside one 674-wide kernel panel; without
+    # knots around c the rule stalled (c = -35) or missed the peak (c = -60)
+    family = NormalLocation(sigma1=1.3)
+    measure = RandomMeasure((WeightedDensity(1.0, NormalKernel(0.0, 1000.0)),))
+    s = math.hypot(1.3, 1000.0)
+    for c in np.linspace(-60.0, 60.0, 241):
+        exact = math.exp(-0.5 * (c / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
+        assert integrate(family, c, measure) == pytest.approx(exact, rel=1e-9), c
 
 
 def test_integrate_rejects_bad_parameter(exp_family):

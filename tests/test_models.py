@@ -101,6 +101,31 @@ def test_normal_grad_matches_finite_differences(c, x):
     assert family.log_density_grad(c, x) == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
 
+@settings(max_examples=90, deadline=None)
+@given(
+    family=st.sampled_from([ExponentialRate(), ParetoTail(1.5), NormalLocation(1.3)]),
+    c=st.floats(0.2, 5.0),
+    offset=st.floats(-1.0, 12.0),
+)
+def test_second_derivatives_match_differences_of_first(family, c, offset):
+    # survival_hess against central differences of survival_grad, and the
+    # score derivative against differences of the score, on the family's
+    # parameter scale; points below a support edge have constant survival
+    if isinstance(family, NormalLocation):
+        x, h = c - 6.0 + offset, 1e-5 * family.sigma1
+    else:
+        x, h = family.support_lower + offset, 1e-5 * c
+    fd = (family.survival_grad(c + h, x) - family.survival_grad(c - h, x)) / (2 * h)
+    hess = family.survival_hess(c, x)
+    assert hess == pytest.approx(fd, rel=1e-6, abs=1e-9)
+    # vectorized numpy exp may differ from the scalar one in the last bit
+    pair = family.survival_hess(c, np.array([x, x])).tolist()
+    assert pair == pytest.approx([hess, hess], rel=1e-14)
+    if offset >= 0:
+        fd = (family.log_density_grad(c + h, x) - family.log_density_grad(c - h, x)) / (2 * h)
+        assert family.log_density_hess(c) == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+
 def test_parameter_domain_violations_raise(exp_family, pareto_family, normal_family):
     with pytest.raises(ParameterDomainError):
         exp_family.density(-1.0, 1.0)
