@@ -5,53 +5,33 @@ parameter gradient Z(c) = -I'(c) / I(c) drives both the estimating equation
 (sum of Z = 0) and the sandwich variance. Z is always the exact derivative
 of the same integral W is computed from.
 
-A fit evaluates the summed loss and gradient along one of two paths, chosen
-once per sample:
-
-- closed-form profile: a homogeneous sample (all atoms, all unrestricted
-  gamma kernels under the exponential family, or all normal kernels under
-  the normal-location family) is evaluated by vectorized numpy
-  expressions for W and Z, with no quadrature. A ``KernelSample`` hands
-  the profile its columns; any other sequence is scanned once per
-  evaluator;
-- compiled panel rule: any other sample is compiled on its first
-  evaluation into a ``PanelRule``, which holds its quadrature panels for
-  the rest of the fit and integrates every measure in one batched density
-  call per c, checking each component against the adaptive tolerance at
-  every c and refining it where the check fails. I'(c) and I''(c) are
-  read off the panels accepted for I(c), so Z and its slope need no
-  further integrals.
+A fit evaluates every sample one way: compiled on its first evaluation
+into a ``PanelRule``, which returns W, Z and the slope Z' = dZ/dc of every
+measure at each c. A measure that is one closed-form term (an atom, a
+gamma density under the exponential family, a normal density under the
+normal location) reads them off its closed form, and a ``KernelSample`` of
+such terms hands the rule its columns. Any other measure sums I, I' and I''
+over its terms, panels checked against the adaptive tolerance at every c,
+and takes Z = -I'/I and Z' = Z^2 - I''/I.
 
 The fit is a Z-estimator solved by one method: safeguarded Newton on sum Z
-with its exact slope sum Z', Z' = Z^2 - I''/I (closed forms on the
-profiles), inside a bracket across which sum Z changes sign; a sweep of the
-loss is only the fallback. The sandwich reads the same exact slope, so no
-finite difference is taken anywhere. ``z_value`` is the one-measure case of
-the same evaluator; ``integrate`` stays the per-measure adaptive oracle
-behind ``w_value``.
+with its exact slope sum Z', inside a bracket across which sum Z changes
+sign; a sweep of the loss is only the fallback. The sandwich reads the same
+exact slope, so no finite difference is taken anywhere. ``z_value`` is the
+one-measure case of the same evaluator; ``integrate`` stays the
+per-measure adaptive oracle behind ``w_value``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from operator import attrgetter
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .measure import (
-    DiracAtom,
-    GammaKernel,
-    KernelSample,
-    NormalKernel,
-    PanelRule,
-    RandomMeasure,
-    WeightedDensity,
-    integrate,
-)
-from .models import ExponentialRate, NormalLocation
+from .measure import KernelSample, PanelRule, RandomMeasure, integrate
 from .quadrature import DEFAULT_QUAD, QuadratureSpec
 
 Sample = Sequence[RandomMeasure]
@@ -80,7 +60,7 @@ class OptimizerConfig:
     relative) and gives up after ``max_iter`` steps. ``objective_tol`` and
     ``fd_step_rel`` are still accepted and validated but no longer read:
     the solver stops on the parameter alone and the sandwich slope is
-    exact. They stay while callers such as the benchmark pin them.
+    exact. They stay because the benchmark workloads (``bench/workloads.py``) pin them.
     """
 
     bracket: tuple[float, float] | None = None
@@ -170,10 +150,9 @@ def _measures(sample: Sample) -> Sample:
 
 
 class _SampleEvaluator:
-    """Per-measure W, Z and Z' of one sample: a closed-form profile or a compiled panel rule.
+    """Per-measure W, Z and Z' of one sample, read off its compiled ``PanelRule``.
 
-    The profile of a ``KernelSample`` is read off its columns, without
-    touching its measures; a list is scanned once.
+    The rule is compiled on the first evaluation: an evaluator never asked reads nothing.
     """
 
     def __init__(self, family, measures: Sample, quad: QuadratureSpec) -> None:
@@ -181,114 +160,30 @@ class _SampleEvaluator:
         self.measures = measures
         self.quad = quad
         self.n = len(measures)
-        self._profile = self._build_profile()
-        self._rule: PanelRule | None = None  # compiled on the first generic evaluation
+        self._rule: PanelRule | None = None
 
-    def _build_profile(self):
-        """Closed-form profile arrays of a homogeneous sample; None when it has none."""
-        family, measures = self.family, self.measures
-        if isinstance(measures, KernelSample):
-            return self._column_profile(measures)
-        if all(len(m.components) == 1 and isinstance(m.components[0], DiracAtom)
-               for m in measures):
-            return ("dirac", np.array([m.components[0].location for m in measures],
-                                      dtype=float))
-        if isinstance(family, ExponentialRate):
-            kind, kernel_type, fields = "exp_gamma", GammaKernel, ("shape", "rate", "shift")
-        elif isinstance(family, NormalLocation):
-            kind, kernel_type, fields = "normal_normal", NormalKernel, ("mean", "sd")
-        else:
-            return None
-        kernels, log_w = [], []
-        for m in measures:
-            comp = m.components[0]
-            if not (len(m.components) == 1 and isinstance(comp, WeightedDensity)
-                    and comp.lower is None and comp.weight > 0
-                    and isinstance(comp.kernel, kernel_type)):
-                return None
-            kernels.append(comp.kernel)
-            log_w.append(math.log(comp.weight))
-        columns = [np.array(list(map(attrgetter(f), kernels)), dtype=float) for f in fields]
-        if kind == "exp_gamma" and (columns[2] < 0).any():
-            return None  # the exp-gamma closed form needs shift >= 0
-        return (kind, (*columns, np.array(log_w)))
+    def _build_profile(self) -> PanelRule:
+        """Compile the sample's rule (the benchmark tracer times this call by its name)."""
+        return PanelRule(self.family, self.measures, self.quad)
 
-    def _column_profile(self, sample: KernelSample):
-        """The profile ``_build_profile`` would scan out of the sample, from its columns."""
-        family, cols = self.family, sample.columns
-        if sample.kind == "dirac":
-            return ("dirac", cols["location"])
-        log_w = np.zeros(len(sample))  # unit weights
-        if (sample.kind == "gamma" and isinstance(family, ExponentialRate)
-                and (cols["shift"] >= 0).all()):
-            return ("exp_gamma", (cols["shape"], cols["rate"], cols["shift"], log_w))
-        if sample.kind == "normal" and isinstance(family, NormalLocation):
-            return ("normal_normal", (cols["mean"], cols["sd"], log_w))
-        return None
-
-    def _compiled(self) -> PanelRule:
+    def _losses(self, c: float, order: int) -> tuple:
+        """W and its first ``order`` derivatives; FitError where Z is asked and a W is infinite."""
         if self._rule is None:
-            self._rule = PanelRule(self.family, self.measures, self.quad)
-        return self._rule
+            self._rule = self._build_profile()
+        terms = self._rule.losses(c, order)
+        if order and not np.isfinite(terms[0]).all():
+            raise FitError(f"loss is not finite at c = {c}; gradient undefined")
+        return terms
 
     def w_values(self, c: float) -> np.ndarray:
-        self.family.check_param(c)
-        if self._profile is None:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return -np.log(np.maximum(self._compiled().integrals(c), 0.0))
-        kind, data = self._profile
-        if kind == "dirac":
-            with np.errstate(divide="ignore"):
-                return -np.log(self.family.density(c, data))
-        if kind == "exp_gamma":
-            shapes, rates, shifts, log_w = data
-            return -log_w - math.log(c) + c * shifts + shapes * np.log1p(c / rates)
-        means, sds, log_w = data
-        s2 = self.family.sigma1**2 + sds**2
-        return -log_w + 0.5 * np.log(2.0 * math.pi * s2) + (means - c) ** 2 / (2.0 * s2)
+        return self._losses(c, 0)[0]
 
     def z_values(self, c: float) -> np.ndarray:
-        self.family.check_param(c)
-        if self._profile is None:
-            values, grads = self._compiled().integrals_with_grad(c)
-            if not (values > 0).all():
-                raise FitError(f"loss is not finite at c = {c}; gradient undefined")
-            return -grads / values
-        kind, data = self._profile
-        if kind == "dirac":
-            return -np.asarray(self.family.log_density_grad(c, data))
-        if kind == "exp_gamma":
-            shapes, rates, shifts, _ = data
-            return shifts + shapes / (rates + c) - 1.0 / c
-        means, sds, _ = data
-        return (c - means) / (self.family.sigma1**2 + sds**2)
+        return self._losses(c, 1)[1]
 
     def terms(self, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """W, Z and the exact slope Z' = dZ/dc of every measure at c.
-
-        Raises ``FitError`` where some W is infinite, since Z is undefined
-        there. On the panel rule Z' = Z^2 - I''/I, with I, I' and I'' read
-        off the same accepted panels.
-        """
-        if self._profile is None:
-            values, grads, hessians = self._compiled().integrals_with_hess(c)
-            if not (values > 0).all():
-                raise FitError(f"loss is not finite at c = {c}; gradient undefined")
-            z = -grads / values
-            return -np.log(values), z, z * z - hessians / values
-        w = self.w_values(c)
-        if not np.isfinite(w).all():
-            raise FitError(f"loss is not finite at c = {c}; gradient undefined")
-        kind, data = self._profile
-        if kind == "dirac":
-            slope = np.full(self.n, -self.family.log_density_hess(c))
-        elif kind == "exp_gamma":
-            shapes, rates, _, _ = data
-            slope = 1.0 / (c * c) - shapes / (rates + c) ** 2
-        else:
-            _, sds, _ = data
-            slope = 1.0 / (self.family.sigma1**2 + sds**2)
-        return w, self.z_values(c), slope
+        """W, Z and the exact slope Z' = dZ/dc of every measure at c."""
+        return self._losses(c, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -529,23 +424,18 @@ def fit(family, sample: Sample, config: OptimizerConfig = DEFAULT_CONFIG,
     )
     if compute_sandwich:
         m_hat, j_hat, v_hat = _sandwich(evaluator, result.estimate)
-        result = FitResult(
-            estimate=result.estimate, n=result.n, method=result.method,
-            converged=result.converged, iterations=result.iterations,
-            objective=result.objective, m_hat=m_hat, j_hat=j_hat, v_hat=v_hat,
-            stderr=math.sqrt(max(v_hat, 0.0) / evaluator.n),
-        )
+        result = replace(result, m_hat=m_hat, j_hat=j_hat, v_hat=v_hat,
+                         stderr=math.sqrt(max(v_hat, 0.0) / evaluator.n))
     return result
 
 
 def sandwich(family, estimate: float, sample: Sample,
-             quad: QuadratureSpec = DEFAULT_QUAD,
-             config: OptimizerConfig = DEFAULT_CONFIG) -> tuple[float, float, float]:
+             quad: QuadratureSpec = DEFAULT_QUAD) -> tuple[float, float, float]:
     """Slope / second-moment / variance triple at the estimate.
 
     The gradients and the slope, their mean derivative, are exact
     derivatives of the loss; the variance is second moment over squared
-    slope. ``config`` is accepted for compatibility and not read.
+    slope.
     """
     return _sandwich(_SampleEvaluator(family, _measures(sample), quad), estimate)
 

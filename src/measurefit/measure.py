@@ -17,6 +17,7 @@ from types import MappingProxyType
 import numpy as np
 from scipy import special
 
+from .models import ExponentialRate, NormalLocation
 from .quadrature import (
     DEFAULT_QUAD,
     QuadratureError,
@@ -348,9 +349,9 @@ class KernelSample(Sequence):
 
     Scalar columns broadcast to the sample length. The measures are built
     once, on construction, by the validating constructors, so an invalid
-    value raises their ``ValueError`` and iteration costs nothing. Fitters
-    read the columns rather than inspecting the measures. Two samples are
-    equal when their measures are.
+    value raises their ``ValueError`` and iteration costs nothing. A
+    ``PanelRule`` takes the columns as its closed-form terms rather than
+    inspecting the measures. Two samples are equal when their measures are.
     """
 
     _FIELDS = {"dirac": ("location",), "gamma": ("shape", "rate", "shift"),
@@ -511,6 +512,44 @@ def integrate(family, c: float, measure: RandomMeasure,
 # compiled integration: one sample, many parameter values
 
 
+_EVERY = slice(None)
+_NO_PANELS = (np.empty(0), np.empty(0), *gauss_rule(np.empty(0), np.empty(0)))
+
+
+def closed_form_terms(family, kind: str, c: float, columns, order: int = 2) -> tuple:
+    """W = -log I, Z = dW/dc and Z' = dZ/dc of one-term measures at c, up to ``order``.
+
+    ``columns`` holds the ``KernelSample`` columns of ``kind`` and a
+    ``log_weight`` (0 where absent), as arrays or scalars; the caller checks c.
+
+    - ``"dirac"``, any family: an atom at x, I = f_c(x);
+    - ``"gamma"``, ``ExponentialRate``: weight w times a gamma kernel with
+      shift >= 0, I = w c e^(-c shift) (rate / (rate + c))^shape;
+    - ``"normal"``, ``NormalLocation``: weight w times a normal kernel,
+      I = w phi((c - mean) / s) / s with s^2 = sigma1^2 + sd^2.
+    """
+    log_w = columns.get("log_weight", 0.0)
+    if kind == "dirac":
+        x, lower = columns["location"], family.support_lower
+        with np.errstate(divide="ignore"):
+            w = -np.log(family.density(c, x))
+        # an atom below the support has W = inf; its score is read at the bound
+        z = -np.asarray(family.log_density_grad(c, np.maximum(x, lower))) if order else None
+        dz = np.full(np.shape(w), -family.log_density_hess(c)) if order > 1 else None
+    elif kind == "gamma":
+        shape, rate, shift = columns["shape"], columns["rate"], columns["shift"]
+        w = -log_w - math.log(c) + c * shift + shape * np.log1p(c / rate)
+        z = shift + shape / (rate + c) - 1.0 / c if order else None
+        dz = 1.0 / (c * c) - shape / (rate + c) ** 2 if order > 1 else None
+    else:
+        mean = columns["mean"]
+        s2 = family.sigma1**2 + columns["sd"] ** 2
+        w = -log_w + 0.5 * np.log(2.0 * math.pi * s2) + (mean - c) ** 2 / (2.0 * s2)
+        z = (c - mean) / s2 if order else None
+        dz = 1.0 / s2 if order > 1 else None
+    return (w, z, dz)[:order + 1]
+
+
 def _split_at(lo: np.ndarray, hi: np.ndarray, knots: np.ndarray, width: float):
     """Panels [lo_i, hi_i], each one wider than ``width`` cut at the knots inside it."""
     inside = np.searchsorted(knots, hi, "left") - np.searchsorted(knots, lo, "right")
@@ -524,54 +563,66 @@ def _split_at(lo: np.ndarray, hi: np.ndarray, knots: np.ndarray, width: float):
 
 
 class PanelRule:
-    """The measures of one sample compiled for integration at many c.
+    """The measures of one sample compiled for evaluation at many c.
 
     Within a fit the measures do not depend on the parameter, only the family
-    density does. So each distinct measure is compiled once: atoms become
-    nodes, constant tails and ramp cuts become survival terms, and each
-    density or ramp component becomes quadrature panels whose 21- and
-    10-point Gauss nodes carry c-free weights (Gauss weight times kernel pdf
-    for densities, times kernel sf for ramps). A ramp with no finite cut (a
-    normal kernel under the normal-location family) is the exact term
-    Phi((c - mean) / s) with s^2 = sigma1^2 + sd^2. ``integrals(c)`` then
-    costs one family density call on all nodes.
+    density does. So each distinct measure is compiled once into terms:
+    closed-form terms (``closed_form_terms``), survival terms (constant tails
+    and ramp cuts), exact ramps (a normal ramp under the normal location is
+    Phi((c - mean) / s), s^2 = sigma1^2 + sd^2) and quadrature panels for every
+    other density or ramp, whose 21- and 10-point Gauss nodes carry c-free
+    weights (kernel pdf for densities, kernel sf for ramps). A
+    ``KernelSample`` of closed-form terms hands over its columns as they are.
 
-    At every c each component's integral is accepted only under the rule of
-    ``refine_panels``: summed error ``|high - low|`` within
+    ``losses(c)`` returns W = -log I(c), Z = dW/dc and Z' = dZ/dc of every
+    measure. A measure of one closed-form term reads them off that term. Any
+    other sums I, I' and I'' over its terms, which ``integrals(c)``,
+    ``integrals_with_grad(c)`` and ``integrals_with_hess(c)`` return: a
+    closed-form term adds e^-W, -Z e^-W and (Z^2 - Z') e^-W, an atom or a
+    panel node its density times 1, the score and score^2 + score'. All
+    panel nodes share one family density call.
+
+    At every c each panel component's integral is accepted only under the
+    rule of ``refine_panels``: summed error ``|high - low|`` within
     ``max(abs_tol, rel_tol * |integral|)``. A component that fails is
-    bisected by ``refine_panels`` from its current panels, with the same
-    budget and errors, and keeps its refined panels for later c. Where that
-    fails from panels refined at earlier c, the component is refined once
-    more from its compile-time panels before the error is raised, so a
-    rule's history never makes it fail where ``integrate`` succeeds. A
-    family whose density peaks inside its support (the normal location)
-    has its peak knots at c cut into every panel wider than their spacing
-    before the check, since Gauss nodes straddling a narrow peak agree on a
-    wrong value. The cut serves that c only, unless a refinement at c
-    repacks the rule, which then keeps it.
-    ``integrals_with_grad(c)`` also returns the exact derivatives I'(c), read
-    off the panels accepted for I(c): the density times its score at the
-    same nodes, and the parameter derivative of each survival term.
-    ``integrals_with_hess(c)`` adds I''(c) from the same panels: the density
-    times (score^2 + score'), and each survival term's second derivative.
+    bisected from its current panels and keeps its refined panels for later
+    c; where that fails, it is refined once more from its compile-time
+    panels before the error is raised, so a rule's history never makes it
+    fail where ``integrate`` succeeds. Under a family whose density peaks
+    inside its support (the normal location) the peak knots at c are cut
+    into every panel wider than their spacing before the check, since Gauss
+    nodes straddling a narrow peak agree on a wrong value. The cut serves
+    that c only, unless a refinement at c repacks the rule, which keeps it.
     """
 
     def __init__(self, family, measures, quad: QuadratureSpec = DEFAULT_QUAD) -> None:
         self.family = family
         self.quad = quad
-        # a measure repeated in the sample (a bootstrap resample) is compiled once
-        slots: dict[int, int] = {}
-        unique: list[RandomMeasure] = []
-        for m in measures:
-            if id(m) not in slots:
-                slots[id(m)] = len(unique)
-                unique.append(m)
-        self._slot_of = np.array([slots[id(m)] for m in measures], dtype=np.intp)
-        self._n_slots = len(unique)
-        atoms, tails, ramps, comps = [], [], [], []
-        for slot, measure in enumerate(unique):
-            self._compile(measure, slot, atoms, tails, ramps, comps)
-        self._atom_x = np.array([x for _, x in atoms], dtype=float)
+        tails, ramps, comps = [], [], []
+        direct = {kind: [] for kind in KernelSample._FIELDS}  # measures of one closed-form term
+        mixed = {kind: [] for kind in KernelSample._FIELDS}  # closed-form terms of other measures
+        linear: list[int] = []
+        if isinstance(measures, KernelSample) and self._covers(measures):
+            self._slot_of, self._n_slots = _EVERY, len(measures)
+            self._direct = [(measures.kind, measures.columns, np.arange(len(measures)))]
+        else:
+            # a measure repeated in the sample (a bootstrap resample) is compiled once
+            unique = {id(m): m for m in measures}
+            self._slot_of = _EVERY
+            if len(unique) < len(measures):
+                slots = {key: slot for slot, key in enumerate(unique)}
+                self._slot_of = np.array([slots[id(m)] for m in measures], dtype=np.intp)
+            self._n_slots = len(unique)
+            for slot, measure in enumerate(unique.values()):
+                components = measure.components
+                if len(components) == 1 and (term := self._closed_form(components[0], slot)):
+                    direct[term[0]].append(term[1])
+                else:
+                    linear.append(slot)
+                    self._compile(components, slot, mixed, tails, ramps, comps)
+            self._direct = self._groups(direct)
+        self._mixed = self._groups(mixed)
+        self._linear = np.array(linear, dtype=np.intp)
         self._tail_lower = np.array([x for _, x, _ in tails], dtype=float)
         self._tail_height = np.array([h for _, _, h in tails], dtype=float)
         self._ramp_mean = np.array([u for _, u, _ in ramps], dtype=float)
@@ -579,16 +630,49 @@ class PanelRule:
         self._scale = np.array([w for _, w, _, _ in comps], dtype=float)
         self._weight_fns = [g for _, _, g, _ in comps]
         self._knots = [k for _, _, _, k in comps]  # the compile-time panels
-        # owners of the terms _evaluate sums: atoms, survival terms, exact ramps, components
-        self._owner = np.array([t[0] for t in atoms + tails + ramps + comps], dtype=np.intp)
+        # owners of the terms _panel_terms returns: survival terms, exact ramps, components
+        self._owner = np.array([t[0] for t in tails + ramps + comps], dtype=np.intp)
         self._pack([self._component_rule(g, k[:-1], k[1:]) for _, _, g, k in comps])
 
-    def _compile(self, measure: RandomMeasure, slot: int, atoms, tails, ramps, comps) -> None:
-        """Append one measure's atoms, survival terms, exact ramps and panel components."""
+    def _covers(self, sample: KernelSample) -> bool:
+        """Whether every measure of the sample is one closed-form term under the family."""
+        if sample.kind == "gamma":
+            return isinstance(self.family, ExponentialRate) and (sample.columns["shift"] >= 0).all()
+        return sample.kind == "dirac" or isinstance(self.family, NormalLocation)
+
+    def _closed_form(self, comp: MeasureComponent, slot: int) -> tuple | None:
+        """The component as a closed-form term ``(kind, (slot, *fields))``, or None."""
+        if isinstance(comp, DiracAtom):
+            return "dirac", (slot, comp.location)
+        if not (isinstance(comp, WeightedDensity) and comp.weight > 0 and comp.lower is None):
+            return None
+        kernel = comp.kernel
+        if (isinstance(kernel, GammaKernel) and kernel.shift >= 0
+                and isinstance(self.family, ExponentialRate)):
+            return "gamma", (slot, kernel.shape, kernel.rate, kernel.shift, math.log(comp.weight))
+        if isinstance(kernel, NormalKernel) and isinstance(self.family, NormalLocation):
+            return "normal", (slot, kernel.mean, kernel.sd, math.log(comp.weight))
+        return None
+
+    @staticmethod
+    def _groups(terms: dict) -> list:
+        """``(kind, columns, slots)`` of each kind that has terms."""
+        groups = []
+        for kind, rows in terms.items():
+            if rows:
+                slots, *values = zip(*rows)
+                fields = KernelSample._FIELDS[kind] + ("log_weight",)
+                columns = {f: np.array(v, dtype=float) for f, v in zip(fields, values)}
+                groups.append((kind, columns, np.array(slots, dtype=np.intp)))
+        return groups
+
+    def _compile(self, components, slot: int, mixed, tails, ramps, comps) -> None:
+        """Append the terms of a measure that is not one closed-form term."""
         family, quad = self.family, self.quad
-        for comp in measure.components:
-            if isinstance(comp, DiracAtom):
-                atoms.append((slot, comp.location))
+        for comp in components:
+            term = self._closed_form(comp, slot)
+            if term is not None:
+                mixed[term[0]].append(term[1])
             elif isinstance(comp, ConstantTail):
                 if comp.height > 0:
                     tails.append((slot, comp.lower, comp.height))
@@ -618,47 +702,98 @@ class PanelRule:
         return lo, hi, x_high, w_high * weight_fn(x_high), x_low, w_low * weight_fn(x_low)
 
     def _pack(self, rules) -> None:
-        """Concatenate the components' rules into the flat arrays ``integrals`` reads."""
-        empty = np.empty(0)
+        """Concatenate the components' rules into the flat arrays ``_panel_terms`` reads."""
         lo, hi, x_high, w_high, x_low, w_low = (
-            np.concatenate(col) for col in zip((empty, empty, *gauss_rule(empty, empty)),
-                                               *rules))
+            [np.concatenate(col) for col in zip(*rules)] if rules else _NO_PANELS)
         self._starts = np.cumsum([0] + [len(r[0]) for r in rules], dtype=np.intp)[:-1]
         self._lo, self._hi, self._w_high, self._w_low = lo, hi, w_high, w_low
-        # one node array for one density call: atoms, then high and low rule nodes
-        self._nodes = np.concatenate([self._atom_x, x_high.ravel(), x_low.ravel()])
-        split = len(self._atom_x) + w_high.size
-        self._high, self._low = slice(len(self._atom_x), split), slice(split, None)
+        # one node array for one density call: high, then low rule nodes
+        self._nodes = np.concatenate([x_high.ravel(), x_low.ravel()])
+        self._high, self._low = slice(0, w_high.size), slice(w_high.size, None)
 
     @property
     def panels(self) -> int:
         """Number of quadrature panels currently compiled."""
         return len(self._lo)
 
+    def losses(self, c: float, order: int = 2) -> tuple:
+        """W = -log I(c) of every measure and its first ``order`` derivatives, in sample order."""
+        self.family.check_param(c)
+        parts = [(slots, closed_form_terms(self.family, kind, c, columns, order))
+                 for kind, columns, slots in self._direct]
+        if self._linear.size:
+            values, *derivs = (s[self._linear] for s in self._sums(c, order, self._mixed))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                z = -derivs[0] / values if order else None
+                dz = z * z - derivs[1] / values if order > 1 else None
+                w = -np.log(np.maximum(values, 0.0))
+            parts.append((self._linear, (w, z, dz)[:order + 1]))
+        if len(parts) == 1:  # one part holds every measure, in slot order
+            out = parts[0][1]
+        else:
+            out = [np.empty(self._n_slots) for _ in range(order + 1)]
+            for slots, terms in parts:
+                for values, term in zip(out, terms):
+                    values[slots] = term
+        return tuple(values[self._slot_of] for values in out)
+
     def integrals(self, c: float) -> np.ndarray:
         """Integral of the family density against each measure, in sample order."""
-        return self._evaluate(c, 0)[0]
+        return self._integrals(c, 0)[0]
 
     def integrals_with_grad(self, c: float) -> tuple[np.ndarray, np.ndarray]:
         """Integrals and their exact derivatives in c, in sample order."""
-        return self._evaluate(c, 1)
+        return self._integrals(c, 1)
 
     def integrals_with_hess(self, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Integrals with their exact first and second derivatives in c, in sample order."""
-        return self._evaluate(c, 2)
+        return self._integrals(c, 2)
 
-    def _evaluate(self, c: float, order: int):
-        """I(c) and, up to ``order``, its derivatives, from the panels accepted for I(c)."""
+    def _integrals(self, c: float, order: int) -> tuple:
         self.family.check_param(c)
+        sums = self._sums(c, order, self._mixed + self._direct)
+        return tuple(values[self._slot_of] for values in sums)
+
+    def _sums(self, c: float, order: int, groups) -> list:
+        """Per-slot I and its first ``order`` derivatives from the panel terms and ``groups``."""
+        parts = [self._panel_terms(c, order)]
+        parts += [self._term_sums(c, order, kind, columns) for kind, columns, _ in groups]
+        owners = np.concatenate([self._owner, *(slots for _, _, slots in groups)])
+        return [np.bincount(owners, np.concatenate(terms), minlength=self._n_slots)
+                for terms in zip(*parts)]
+
+    def _term_sums(self, c: float, order: int, kind: str, columns) -> list:
+        """I and its first ``order`` derivatives of closed-form terms of one kind."""
+        if kind == "dirac":  # atoms add the density itself
+            x = columns["location"]
+            return self._with_derivatives(c, order, x, self.family.density(c, x))
+        w, z, dz = closed_form_terms(self.family, kind, c, columns)
+        values = np.exp(-w)
+        return [values, -z * values, (z * z - dz) * values][:order + 1]
+
+    def _with_derivatives(self, c: float, order: int, x: np.ndarray, dens: np.ndarray) -> list:
+        """The density at x with its first ``order`` derivatives: times score (score^2 + score')."""
+        family = self.family
+        out = [dens]
+        if order:
+            # nodes below the support carry zero density
+            score = family.log_density_grad(c, np.maximum(x, family.support_lower))
+            out.append(dens * score)
+        if order > 1:
+            out.append(out[1] * score + dens * family.log_density_hess(c))
+        return out
+
+    def _panel_terms(self, c: float, order: int) -> list:
+        """I and its first ``order`` derivatives of the survival terms, ramps and panels."""
         uncut = self._cut_at_peak(c)
         cut = self._lo
         try:
-            return self._evaluate_packed(c, order)
+            return self._panel_terms_packed(c, order)
         finally:
             if uncut is not None and self._lo is cut:  # no refinement kept the cut
                 self._packed = uncut
 
-    def _evaluate_packed(self, c: float, order: int):
+    def _panel_terms_packed(self, c: float, order: int) -> list:
         family, quad = self.family, self.quad
         dens = family.density(c, self._nodes)
         high = (dens[self._high].reshape(self._w_high.shape) * self._w_high).sum(axis=1)
@@ -674,48 +809,24 @@ class PanelRule:
             totals = self._refine(c, np.flatnonzero(failing), totals, high, err)
             if order:
                 dens = family.density(c, self._nodes)  # the nodes of the refined panels
-        n_atoms = len(self._atom_x)
         ramp_z = (c - self._ramp_mean) / self._ramp_sd
-        values = self._by_measure(
-            dens[:n_atoms],
-            self._tail_height * family.survival(c, self._tail_lower),
-            special.ndtr(ramp_z),
-            totals,
-        )
-        if not order:
-            return values, None
-        # density times score (and its square plus derivative) at the atoms
-        # and high-rule nodes; nodes below the support carry zero density
-        scored = self._nodes[:self._high.stop]
-        score = family.log_density_grad(c, np.maximum(scored, family.support_lower))
-        dens_grad = dens[:len(scored)] * score
-        ramp_pdf = np.exp(-0.5 * ramp_z * ramp_z) / (_SQRT_2PI * self._ramp_sd)
-        grads = self._by_measure(
-            dens_grad[:n_atoms],
-            self._tail_height * family.survival_grad(c, self._tail_lower),
-            ramp_pdf,
-            self._high_sums(dens_grad),
-        )
-        if order == 1:
-            return values, grads
-        dens_hess = dens_grad * score + dens[:len(scored)] * family.log_density_hess(c)
-        hessians = self._by_measure(
-            dens_hess[:n_atoms],
-            self._tail_height * family.survival_hess(c, self._tail_lower),
-            -ramp_z * ramp_pdf / self._ramp_sd,
-            self._high_sums(dens_hess),
-        )
-        return values, grads, hessians
+        terms = [(self._tail_height * family.survival(c, self._tail_lower),
+                  special.ndtr(ramp_z), totals)]
+        if order:
+            node = self._with_derivatives(c, order, self._nodes[self._high], dens[self._high])
+            ramp_pdf = np.exp(-0.5 * ramp_z * ramp_z) / (_SQRT_2PI * self._ramp_sd)
+            terms.append((self._tail_height * family.survival_grad(c, self._tail_lower),
+                          ramp_pdf, self._high_sums(node[1])))
+        if order > 1:
+            terms.append((self._tail_height * family.survival_hess(c, self._tail_lower),
+                          -ramp_z * ramp_pdf / self._ramp_sd, self._high_sums(node[2])))
+        return [np.concatenate([tails, ramps, self._scale * components])
+                for tails, ramps, components in terms]
 
     def _high_sums(self, node_values: np.ndarray) -> np.ndarray:
-        """Per-component high-rule sums of values given at the atoms and high-rule nodes."""
-        per_panel = node_values[self._high].reshape(self._w_high.shape) * self._w_high
+        """Per-component high-rule sums of values given at the high-rule nodes."""
+        per_panel = node_values.reshape(self._w_high.shape) * self._w_high
         return np.add.reduceat(per_panel.sum(axis=1), self._starts)
-
-    def _by_measure(self, atoms, tails, ramps, components) -> np.ndarray:
-        """Sum the terms of each kind into their measures, in sample order."""
-        terms = np.concatenate([atoms, tails, ramps, self._scale * components])
-        return np.bincount(self._owner, terms, minlength=self._n_slots)[self._slot_of]
 
     def _rules(self) -> list:
         """The components' panels, nodes and weights, as ``_pack`` takes them."""

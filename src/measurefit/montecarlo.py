@@ -13,8 +13,10 @@ streams, so results are reproducible regardless of execution order.
 A solvable scenario's sample is a ``KernelSample``: the draws are kept as
 columns (gamma shapes, rates and shifts, normal means and sds, or atom
 locations) next to the measures built from them. The fit, the sandwich and
-the score at the limit read the columns, so no replication inspects its
-measures again; claims scenarios give lists of bridge measures.
+the score at the limit take the columns as their rule's closed-form terms,
+so no replication inspects its measures again; ``verify_m_matrix`` scores
+its draws by the same closed forms and builds no measure. Claims scenarios
+give lists of bridge measures.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .estimator import (
     failure_reason,
     fit,
 )
-from .measure import KernelSample, RandomMeasure
+from .measure import KernelSample, RandomMeasure, closed_form_terms
 from .models import ExponentialRate, NormalLocation
 from .quadrature import DEFAULT_QUAD, QuadratureSpec
 from .tailstudy import TailScenarioSpec, build_bridge_sample, synthesize_claims
@@ -96,37 +98,39 @@ class StudySummary:
     failure_reasons: dict[str, int] = field(default_factory=dict)
 
 
-def _draw(scenario: Scenario, n: int, rng: np.random.Generator):
-    """One sample: returns (family, measures). Deterministic in the rng state."""
+def _draw_columns(scenario: ExpGammaSpec | NormalNormalSpec, n: int,
+                  rng: np.random.Generator):
+    """One solvable sample as (family, kind, columns) of a ``KernelSample``."""
     if isinstance(scenario, ExpGammaSpec):
         xs = rng.exponential(1.0 / scenario.true_rate, size=n)
         s2 = scenario.expert_var
         if s2 == 0.0:
-            return ExponentialRate(), KernelSample("dirac", location=xs)
-        return ExponentialRate(), KernelSample("gamma", shape=xs / s2, rate=1.0 / s2,
-                                               shift=0.0)
-    if isinstance(scenario, NormalNormalSpec):
-        xs = scenario.true_location + scenario.model_sd * rng.standard_normal(n)
-        noise = rng.standard_normal(n)
-        ys = scenario.noise_mean + scenario.noise_sd * (
-            scenario.noise_corr * (xs - scenario.true_location) / scenario.model_sd
-            + math.sqrt(1.0 - scenario.noise_corr**2) * noise
-        )
-        centers = xs + ys
-        if scenario.expert_sd == 0.0:
-            measures = KernelSample("dirac", location=centers)
-        else:
-            measures = KernelSample("normal", mean=centers, sd=scenario.expert_sd)
-        return NormalLocation(scenario.model_sd), measures
+            return ExponentialRate(), "dirac", {"location": xs}
+        return ExponentialRate(), "gamma", {"shape": xs / s2, "rate": 1.0 / s2, "shift": 0.0}
+    xs = scenario.true_location + scenario.model_sd * rng.standard_normal(n)
+    noise = rng.standard_normal(n)
+    ys = scenario.noise_mean + scenario.noise_sd * (
+        scenario.noise_corr * (xs - scenario.true_location) / scenario.model_sd
+        + math.sqrt(1.0 - scenario.noise_corr**2) * noise
+    )
+    centers = xs + ys
+    family = NormalLocation(scenario.model_sd)
+    if scenario.expert_sd == 0.0:
+        return family, "dirac", {"location": centers}
+    return family, "normal", {"mean": centers, "sd": scenario.expert_sd}
+
+
+def _draw(scenario: Scenario, n: int, rng: np.random.Generator):
+    """One sample: returns (family, measures). Deterministic in the rng state."""
+    if isinstance(scenario, (ExpGammaSpec, NormalNormalSpec)):
+        family, kind, columns = _draw_columns(scenario, n, rng)
+        return family, KernelSample(kind, **columns)
     if isinstance(scenario, TailScenarioSpec):
         records = synthesize_claims(
             n, scenario.tail_param, scenario.x0_scale, scenario.censoring,
             scenario.noise_sd, seed=int(rng.integers(2**63)),
         )
-        family, measures = build_bridge_sample(
-            records, scenario.k, scenario.sigma2, scenario.variant
-        )
-        return family, measures
+        return build_bridge_sample(records, scenario.k, scenario.sigma2, scenario.variant)
     raise TypeError(f"unknown scenario {scenario!r}")
 
 
@@ -280,29 +284,18 @@ def verify_m_matrix(scenario: ExpGammaSpec | NormalNormalSpec,
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    rng = np.random.default_rng(seed)
     if isinstance(scenario, ExpGammaSpec):
         ch = eg_characteristics(scenario)
-        c = ch.limit if at is None else at
-        xs = rng.exponential(1.0 / scenario.true_rate, size=draws)
-        s2 = scenario.expert_var
-        z_at = lambda cc: xs / (1.0 + s2 * cc) - 1.0 / cc
         candidates = {"confirmed": ch.slope, "variant": ch.slope_variant}
     elif isinstance(scenario, NormalNormalSpec):
         ch = nn_characteristics(scenario)
-        c = ch.limit if at is None else at
-        xs = scenario.true_location + scenario.model_sd * rng.standard_normal(draws)
-        noise = rng.standard_normal(draws)
-        ys = scenario.noise_mean + scenario.noise_sd * (
-            scenario.noise_corr * (xs - scenario.true_location) / scenario.model_sd
-            + math.sqrt(1.0 - scenario.noise_corr**2) * noise
-        )
-        centers = xs + ys
-        denom = scenario.model_sd**2 + scenario.expert_sd**2
-        z_at = lambda cc: (cc - centers) / denom
         candidates = {"confirmed": ch.slope}
     else:
         raise TypeError("slope verification needs a solvable scenario")
+    c = ch.limit if at is None else at
+    # the draws as columns, scored by the rule's closed forms: no measures
+    family, kind, columns = _draw_columns(scenario, draws, np.random.default_rng(seed))
+    z_at = lambda cc: closed_form_terms(family, kind, cc, columns, order=1)[1]
 
     per_draw = (z_at(c + step) - z_at(c - step)) / (2.0 * step)
     slope = float(np.mean(per_draw))

@@ -25,6 +25,7 @@ from measurefit import (
     QuadratureSpec,
     RandomMeasure,
     WeightedDensity,
+    fit,
     integrate,
     make_dirac,
     make_gamma_bridge,
@@ -248,7 +249,7 @@ def test_evaluator_compiles_only_without_a_closed_form():
     closed = [RandomMeasure((WeightedDensity(1.0, GammaKernel(2.0 + i, 1.0)),)) for i in range(3)]
     evaluator = _SampleEvaluator(family, closed, DEFAULT_QUAD)
     evaluator.w_values(0.7)
-    assert evaluator._rule is None
+    assert evaluator._rule.panels == 0  # closed-form terms, no quadrature
     mixed = closed + [make_right_censoring(1.5, 0)]
     evaluator = _SampleEvaluator(family, mixed, DEFAULT_QUAD)
     w = evaluator.w_values(0.7)
@@ -324,18 +325,34 @@ CLOSED_FORM_SAMPLES = [
 ]
 
 
+def _on_panels(measure):
+    """The one-term measure kept off its closed form.
+
+    A density is restricted at or below its own support (at the gamma
+    shift, far below a normal mean), which leaves its integral as it is but
+    keeps it on panels; an atom beside a zero-height tail stays on the
+    linear sums.
+    """
+    comp, = measure.components
+    if isinstance(comp, DiracAtom):
+        return RandomMeasure((comp, ConstantTail(comp.location, 0.0)))
+    kernel = comp.kernel
+    lower = kernel.shift if isinstance(kernel, GammaKernel) else kernel.mean - 1e3 * kernel.sd
+    return RandomMeasure((WeightedDensity(comp.weight, kernel, lower=lower),))
+
+
 @pytest.mark.parametrize("family, measures, cs", CLOSED_FORM_SAMPLES)
 def test_rule_z_matches_closed_form_profiles(family, measures, cs):
     closed = _SampleEvaluator(family, measures, DEFAULT_QUAD)
-    # one right-censoring tail moves the whole sample onto the panel rule
-    compiled = _SampleEvaluator(family, measures + [make_right_censoring(1.0, 0)], DEFAULT_QUAD)
-    assert closed._profile is not None and compiled._profile is None
+    rule = PanelRule(family, [_on_panels(m) for m in measures])
+    closed.w_values(float(cs[0]))
+    assert closed._rule.panels == 0 and rule.panels >= len(measures)
     compared = 0
     for c in map(float, cs):
-        values, grads = compiled._compiled().integrals_with_grad(c)
-        keep = values[:-1] >= DEFAULT_QUAD.abs_tol / DEFAULT_QUAD.rel_tol
+        values, grads = rule.integrals_with_grad(c)
+        keep = values >= DEFAULT_QUAD.abs_tol / DEFAULT_QUAD.rel_tol
         exact = closed.z_values(c)[keep]
-        z = -grads[:-1][keep] / values[:-1][keep]
+        z = -grads[keep] / values[keep]
         np.testing.assert_allclose(z, exact, rtol=1e-7, atol=1e-15, err_msg=f"c = {c}")
         compared += keep.sum()
     assert compared >= len(measures)
@@ -406,21 +423,118 @@ def test_rule_slope_matches_closed_form_profiles(family, measures, cs):
     # Z' = Z^2 - I''/I cancels terms of size Z^2, so the error is bounded
     # relative to |Z'| + Z^2; it was seen below 8e-12 of that
     closed = _SampleEvaluator(family, measures, DEFAULT_QUAD)
-    # one right-censoring tail moves the whole sample onto the panel rule
-    compiled = _SampleEvaluator(family, measures + [make_right_censoring(1.0, 0)], DEFAULT_QUAD)
-    assert closed._profile is not None and compiled._profile is None
+    compiled = _SampleEvaluator(family, [_on_panels(m) for m in measures], DEFAULT_QUAD)
     compared = 0
     for c in map(float, cs):
         _, z_exact, slope_exact = closed.terms(c)
         try:
-            slope = compiled.terms(c)[2][:-1]
+            slope = compiled.terms(c)[2]
         except FitError:  # some integral underflows to 0 at this c
             continue
-        values = compiled._compiled().integrals(c)[:-1]
+        values = compiled._rule.integrals(c)
         keep = values >= DEFAULT_QUAD.abs_tol / DEFAULT_QUAD.rel_tol
         np.testing.assert_array_less(
             np.abs(slope - slope_exact)[keep],
             1e-9 * (np.abs(slope_exact) + z_exact * z_exact)[keep] + 1e-300,
             err_msg=f"c = {c}")
         compared += keep.sum()
+    densities = isinstance(measures[0].components[0], WeightedDensity)
+    assert closed._rule.panels == 0 and (compiled._rule.panels > 0) == densities
     assert compared >= len(measures)
+
+
+# ---------------------------------------------------------------------------
+# closed-form terms: one path for every measure
+
+
+@pytest.mark.parametrize("method", ["minimize", "zroot"])
+@pytest.mark.parametrize("censored", [False, True])
+def test_gamma_shape_far_below_one_fits_on_its_closed_form(method, censored):
+    # the kernel pdf is singular at its shift, where panels stall ("error
+    # estimate stalled at 1.375e-05"); its closed-form term needs no
+    # quadrature, beside an atom and beside a censoring tail
+    family = ExponentialRate()
+    sample = [RandomMeasure((WeightedDensity(1, GammaKernel(0.003, 0.01)),)), make_dirac(0.5)]
+    if censored:
+        sample.append(make_right_censoring(1.0, 0))
+    res = fit(family, sample, method=method)
+    assert res.converged
+    c = res.estimate
+    w, z, _ = _SampleEvaluator(family, sample, DEFAULT_QUAD).terms(c)
+    closed_w = [-math.log(c) + 0.003 * math.log1p(c / 0.01), 0.5 * c - math.log(c), c]
+    closed_z = [0.003 / (0.01 + c) - 1.0 / c, 0.5 - 1.0 / c, 1.0]
+    assert w.tolist() == pytest.approx(closed_w[:len(sample)], rel=1e-12, abs=1e-14)
+    assert z.tolist() == pytest.approx(closed_z[:len(sample)], rel=1e-12, abs=1e-14)
+    assert abs(z.sum()) <= 1e-9 * np.abs(z).sum()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    normal=st.booleans(),
+    tail=st.booleans(),
+    shape=st.floats(1.0, 200.0),
+    log_scale=st.floats(-2.0, 1.0),
+    center=st.floats(0.0, 2.0),
+    weight=st.floats(0.1, 2.0),
+    at=st.floats(0.0, 6.0),
+    height=st.floats(0.1, 1.0),
+    u=st.floats(0.0, 1.0),
+)
+def test_closed_form_terms_beside_an_atom_or_a_tail(normal, tail, shape, log_scale, center,
+                                                    weight, at, height, u):
+    # a measure that is not one closed-form term adds the term's e^-W to the
+    # atom's density or the tail's survival term; gamma shapes >= 1 keep the
+    # oracle's quadrature convergent
+    scale = 10.0**log_scale
+    if normal:
+        family, c = NormalLocation(sigma1=1.3), -10.0 + 20.0 * u
+        kernel = NormalKernel(center, scale)
+    else:
+        family, c = ExponentialRate(), 10.0 ** (-2.0 + 3.0 * u)
+        kernel = GammaKernel(shape, 1.0 / scale, shift=center)
+    partner = ConstantTail(at, height) if tail else DiracAtom(at)
+    density = WeightedDensity(weight, kernel)
+    measures = [RandomMeasure((density, partner)), RandomMeasure((partner, density))]
+    rule = assert_matches_oracle(family, measures, [c])
+    assert rule.panels == 0
+    oracle = np.array([integrate(family, c, m) for m in measures])
+    keep = oracle >= DEFAULT_QUAD.abs_tol / DEFAULT_QUAD.rel_tol
+    evaluator = _SampleEvaluator(family, measures, DEFAULT_QUAD)
+    w = evaluator.w_values(c)
+    np.testing.assert_allclose(w[keep], -np.log(oracle[keep]), rtol=0,
+                               atol=10 * DEFAULT_QUAD.rel_tol)
+    if not keep.all():
+        return
+    # Z against differences of the oracle's W (acceptance 07's step and
+    # bound), Z' against a 4-point difference of Z with a step of 1e-3
+    # parameter scales, bounded like Z' in the closed-form slope test
+    _, z, slope = evaluator.terms(c)
+    h = 3e-6 * max(abs(c), 1.0)
+    w_minus, w_plus = ([w_value(family, c + d, m) for m in measures] for d in (-h, h))
+    fd = (np.array(w_plus) - np.array(w_minus)) / (2 * h)
+    rounding = 1e-15 * np.maximum(1.0, np.abs(w_plus)) / h
+    assert (np.abs(z - fd) <= 1e-5 * np.maximum(np.abs(fd), 1e-8) + rounding).all(), (z, fd)
+    h = 1e-3 * _parameter_scale(family, c)
+    zs = [evaluator.z_values(c + k * h) for k in (-2, -1, 1, 2)]
+    fd = (zs[0] - 8.0 * zs[1] + 8.0 * zs[2] - zs[3]) / (12.0 * h)
+    rounding = 1e-14 * np.maximum(1.0, np.abs(z)) / h
+    assert (np.abs(slope - fd) <= 1e-7 * (np.abs(fd) + z * z) + rounding).all(), (slope, fd)
+
+
+def test_rule_resolves_the_family_peak_under_a_wide_restricted_normal_kernel():
+    # unrestricted, this kernel is a closed-form term; restricted far below
+    # its mean it keeps the 674-wide panels whose Gauss nodes missed the
+    # family's peak together or stalled, and the peak cut at each c serves
+    # that c only
+    family = NormalLocation(sigma1=1.3)
+    measures = [RandomMeasure((WeightedDensity(1.0, NormalKernel(0.0, 1000.0), lower=-1e5),))]
+    s = math.hypot(1.3, 1000.0)
+    rule = PanelRule(family, measures)
+    assert rule.panels > 0
+    for c in np.linspace(-60.0, 60.0, 241):
+        exact = math.exp(-0.5 * (c / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
+        for r in (rule, PanelRule(family, measures)):
+            values, grads = r.integrals_with_grad(c)
+            assert values[0] == pytest.approx(exact, rel=1e-9), c
+            assert -grads[0] / values[0] == pytest.approx(c / s**2, rel=1e-7, abs=1e-15), c
+    assert rule.panels == PanelRule(family, measures).panels

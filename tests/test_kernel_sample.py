@@ -36,6 +36,7 @@ from measurefit import (
 )
 from measurefit import estimator, montecarlo
 from measurefit.estimator import _SampleEvaluator
+from measurefit.measure import PanelRule
 from measurefit.quadrature import DEFAULT_QUAD
 
 NN = dict(noise_mean=0.1, noise_sd=0.3)
@@ -111,13 +112,17 @@ def test_a_zero_draw_raises_the_kernel_error():
 def test_column_profile_equals_the_scan(spec, family, kind):
     sample = simulate_scenario(spec, 300, seed=11)
     assert isinstance(sample, KernelSample)
-    columns = _SampleEvaluator(family, sample, DEFAULT_QUAD)._profile
-    scanned = _SampleEvaluator(family, list(sample), DEFAULT_QUAD)._profile
-    assert columns[0] == scanned[0] == kind
-    pairs = [(columns[1], scanned[1])] if kind == "dirac" else zip(columns[1], scanned[1])
-    for got, want in pairs:
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
+    columns = PanelRule(family, sample)
+    scanned = PanelRule(family, list(sample))
+    assert columns.panels == scanned.panels == 0
+    (got_kind, got, _), = columns._direct
+    (want_kind, want, _), = scanned._direct
+    assert got_kind == want_kind == sample.kind
+    for name in got:
+        assert got[name].dtype == want[name].dtype
+        assert np.array_equal(got[name], want[name])
+    for c in (0.4, 1.0, 2.5):
+        assert [hexes(*t) for t in columns.losses(c)] == [hexes(*t) for t in scanned.losses(c)]
 
 
 @pytest.mark.parametrize("spec, family, kind", SCENARIOS)
@@ -160,8 +165,8 @@ def test_replicate_is_bit_identical_on_the_columns_and_on_the_list(spec, monkeyp
 ])
 def test_uncovered_families_fall_back_to_the_rule(family, sample, cs):
     evaluator = _SampleEvaluator(family, sample, DEFAULT_QUAD)
-    assert evaluator._profile is None
-    rule = evaluator._compiled()
+    evaluator.w_values(cs[0])
+    rule = evaluator._rule
     assert rule.panels > 0
     for c in cs:
         oracle = [integrate(family, c, m) for m in sample]
