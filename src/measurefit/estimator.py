@@ -472,18 +472,20 @@ def bootstrap_se(family, sample: Sample, replicates: int, seed: int,
     """Resampling standard error and percentile interval for the fit.
 
     Deterministic given the seed. A single replicate reports no spread;
-    more than 10 percent refit failures aborts.
+    more than 10 percent refit failures aborts. A ``KernelSample`` is
+    resampled with ``KernelSample.take``, so each refit reads columns.
     """
     if replicates < 1:
         raise ValueError("need at least one bootstrap replicate")
-    measures = list(sample)
+    measures = _measures(sample)
     n = len(measures)
     rng = np.random.default_rng(seed)
     estimates = []
     reasons: Counter[str] = Counter()
     for _ in range(replicates):
         idx = rng.integers(0, n, size=n)
-        resample = [measures[i] for i in idx]
+        resample = (measures.take(idx) if isinstance(measures, KernelSample)
+                    else [measures[i] for i in idx])
         try:
             res = fit(family, resample, config, quad, method, compute_sandwich=False)
             estimates.append(res.estimate)

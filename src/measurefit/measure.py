@@ -349,7 +349,8 @@ class KernelSample(Sequence):
 
     Scalar columns broadcast to the sample length. The measures are built
     once, on construction, by the validating constructors, so an invalid
-    value raises their ``ValueError`` and iteration costs nothing. A
+    value raises their ``ValueError`` and iteration costs nothing;
+    ``take`` resamples both without building or checking anything again. A
     ``PanelRule`` takes the columns as its closed-form terms rather than
     inspecting the measures. Two samples are equal when their measures are.
     """
@@ -383,9 +384,27 @@ class KernelSample(Sequence):
         else:
             measures = tuple(RandomMeasure((WeightedDensity(1.0, NormalKernel(u, sd)),))
                              for u, sd in rows)
+        self._fill(kind, frozen, measures)
+
+    def _fill(self, kind: str, columns: dict, measures: tuple) -> None:
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "columns", MappingProxyType(frozen))
+        object.__setattr__(self, "columns", MappingProxyType(columns))
         object.__setattr__(self, "_measures", measures)
+
+    def take(self, indices) -> KernelSample:
+        """The sample of the measures at ``indices``, in that order (a bootstrap resample).
+
+        Its columns and measures are this sample's, already validated, so
+        nothing is checked or built again.
+        """
+        idx = np.asarray(indices, dtype=np.intp)
+        columns = {}
+        for name, values in self.columns.items():
+            columns[name] = values[idx]
+            columns[name].flags.writeable = False
+        taken = object.__new__(type(self))
+        taken._fill(self.kind, columns, tuple(self._measures[i] for i in idx.tolist()))
+        return taken
 
     def __setattr__(self, name, value):
         raise AttributeError("KernelSample is immutable")
@@ -571,24 +590,29 @@ class PanelRule:
     and ramp cuts), exact ramps (a normal ramp under the normal location is
     Phi((c - mean) / s), s^2 = sigma1^2 + sd^2) and quadrature panels for every
     other density or ramp, whose 21- and 10-point Gauss nodes carry c-free
-    weights (kernel pdf for densities, kernel sf for ramps). A
-    ``KernelSample`` of closed-form terms hands over its columns as they are.
+    weights (kernel pdf for densities, kernel sf for ramps, times the
+    family's density factor e^h) and the family's c-free node statistic t
+    (see ``models``). A ``KernelSample`` of closed-form terms hands over its
+    columns as they are.
 
     ``losses(c)`` returns W = -log I(c), Z = dW/dc and Z' = dZ/dc of every
     measure. A measure of one closed-form term reads them off that term. Any
     other sums I, I' and I'' over its terms, which ``integrals(c)``,
     ``integrals_with_grad(c)`` and ``integrals_with_hess(c)`` return: a
     closed-form term adds e^-W, -Z e^-W and (Z^2 - Z') e^-W, an atom or a
-    panel node its density times 1, the score and score^2 + score'. All
-    panel nodes share one family density call.
+    panel node its density times 1, the score and score^2 + score'. Atoms
+    read the family's scalar density and score; all panel nodes share one
+    ``exp`` of the family's node log density at their t, and their scores
+    are the node score at t.
 
     At every c each panel component's integral is accepted only under the
     rule of ``refine_panels``: summed error ``|high - low|`` within
     ``max(abs_tol, rel_tol * |integral|)``. A component that fails is
-    bisected from its current panels and keeps its refined panels for later
-    c; where that fails, it is refined once more from its compile-time
-    panels before the error is raised, so a rule's history never makes it
-    fail where ``integrate`` succeeds. Under a family whose density peaks
+    bisected with the scalar family density, as in ``integrate``, and keeps
+    its refined panels, with t at their nodes, for later c; where that
+    fails, it is refined once more from its compile-time panels before the
+    error is raised, so a rule's history never makes it fail where
+    ``integrate`` succeeds. Under a family whose density peaks
     inside its support (the normal location) the peak knots at c are cut
     into every panel wider than their spacing before the check, since Gauss
     nodes straddling a narrow peak agree on a wrong value. The cut serves
@@ -695,20 +719,26 @@ class PanelRule:
             else:
                 raise TypeError(f"unknown measure component {comp!r}")
 
-    @staticmethod
-    def _component_rule(weight_fn, lo: np.ndarray, hi: np.ndarray):
-        """Panels, Gauss nodes and c-free weights of one component."""
+    def _component_rule(self, weight_fn, lo: np.ndarray, hi: np.ndarray):
+        """Panels, node statistics t and c-free weights of one component.
+
+        A node's weight is its Gauss weight times the component's weight
+        function and the family's density factor e^h at the node.
+        """
         x_high, w_high, x_low, w_low = gauss_rule(lo, hi)
-        return lo, hi, x_high, w_high * weight_fn(x_high), x_low, w_low * weight_fn(x_low)
+        t_high, h_high = self.family.node_form(x_high)
+        t_low, h_low = self.family.node_form(x_low)
+        return (lo, hi, t_high, w_high * weight_fn(x_high) * h_high,
+                t_low, w_low * weight_fn(x_low) * h_low)
 
     def _pack(self, rules) -> None:
         """Concatenate the components' rules into the flat arrays ``_panel_terms`` reads."""
-        lo, hi, x_high, w_high, x_low, w_low = (
+        lo, hi, t_high, w_high, t_low, w_low = (
             [np.concatenate(col) for col in zip(*rules)] if rules else _NO_PANELS)
         self._starts = np.cumsum([0] + [len(r[0]) for r in rules], dtype=np.intp)[:-1]
         self._lo, self._hi, self._w_high, self._w_low = lo, hi, w_high, w_low
-        # one node array for one density call: high, then low rule nodes
-        self._nodes = np.concatenate([x_high.ravel(), x_low.ravel()])
+        # one statistic array for one density call: high, then low rule nodes
+        self._stat = np.concatenate([t_high.ravel(), t_low.ravel()])
         self._high, self._low = slice(0, w_high.size), slice(w_high.size, None)
 
     @property
@@ -764,24 +794,19 @@ class PanelRule:
 
     def _term_sums(self, c: float, order: int, kind: str, columns) -> list:
         """I and its first ``order`` derivatives of closed-form terms of one kind."""
-        if kind == "dirac":  # atoms add the density itself
+        family = self.family
+        if kind == "dirac":  # atoms add the density, times the score and score^2 + score'
             x = columns["location"]
-            return self._with_derivatives(c, order, x, self.family.density(c, x))
-        w, z, dz = closed_form_terms(self.family, kind, c, columns)
+            dens = family.density(c, x)
+            if not order:
+                return [dens]
+            # atoms below the support carry zero density; their score is read at the bound
+            score = family.log_density_grad(c, np.maximum(x, family.support_lower))
+            grad = dens * score
+            return [dens, grad, grad * score + dens * family.log_density_hess(c)][:order + 1]
+        w, z, dz = closed_form_terms(family, kind, c, columns)
         values = np.exp(-w)
         return [values, -z * values, (z * z - dz) * values][:order + 1]
-
-    def _with_derivatives(self, c: float, order: int, x: np.ndarray, dens: np.ndarray) -> list:
-        """The density at x with its first ``order`` derivatives: times score (score^2 + score')."""
-        family = self.family
-        out = [dens]
-        if order:
-            # nodes below the support carry zero density
-            score = family.log_density_grad(c, np.maximum(x, family.support_lower))
-            out.append(dens * score)
-        if order > 1:
-            out.append(out[1] * score + dens * family.log_density_hess(c))
-        return out
 
     def _panel_terms(self, c: float, order: int) -> list:
         """I and its first ``order`` derivatives of the survival terms, ramps and panels."""
@@ -795,7 +820,8 @@ class PanelRule:
 
     def _panel_terms_packed(self, c: float, order: int) -> list:
         family, quad = self.family, self.quad
-        dens = family.density(c, self._nodes)
+        # the node density over e^h, which the weights carry
+        dens = np.exp(family.node_log_density(c, self._stat))
         high = (dens[self._high].reshape(self._w_high.shape) * self._w_high).sum(axis=1)
         low = (dens[self._low].reshape(self._w_low.shape) * self._w_low).sum(axis=1)
         err = np.abs(high - low)
@@ -807,19 +833,22 @@ class PanelRule:
             raise QuadratureError("integrand produced non-finite values")
         if failing.any():
             totals = self._refine(c, np.flatnonzero(failing), totals, high, err)
-            if order:
-                dens = family.density(c, self._nodes)  # the nodes of the refined panels
+            if order:  # the nodes of the refined panels
+                dens = np.exp(family.node_log_density(c, self._stat))
         ramp_z = (c - self._ramp_mean) / self._ramp_sd
         terms = [(self._tail_height * family.survival(c, self._tail_lower),
                   special.ndtr(ramp_z), totals)]
         if order:
-            node = self._with_derivatives(c, order, self._nodes[self._high], dens[self._high])
+            dens = dens[self._high]
+            score = family.node_score(c, self._stat[self._high])
+            grad = dens * score
             ramp_pdf = np.exp(-0.5 * ramp_z * ramp_z) / (_SQRT_2PI * self._ramp_sd)
             terms.append((self._tail_height * family.survival_grad(c, self._tail_lower),
-                          ramp_pdf, self._high_sums(node[1])))
+                          ramp_pdf, self._high_sums(grad)))
         if order > 1:
+            hess = grad * score + dens * family.log_density_hess(c)
             terms.append((self._tail_height * family.survival_hess(c, self._tail_lower),
-                          -ramp_z * ramp_pdf / self._ramp_sd, self._high_sums(node[2])))
+                          -ramp_z * ramp_pdf / self._ramp_sd, self._high_sums(hess)))
         return [np.concatenate([tails, ramps, self._scale * components])
                 for tails, ramps, components in terms]
 
@@ -829,14 +858,14 @@ class PanelRule:
         return np.add.reduceat(per_panel.sum(axis=1), self._starts)
 
     def _rules(self) -> list:
-        """The components' panels, nodes and weights, as ``_pack`` takes them."""
-        x_high = self._nodes[self._high].reshape(self._w_high.shape)
-        x_low = self._nodes[self._low].reshape(self._w_low.shape)
+        """The components' panels, node statistics and weights, as ``_pack`` takes them."""
+        t_high = self._stat[self._high].reshape(self._w_high.shape)
+        t_low = self._stat[self._low].reshape(self._w_low.shape)
         ends = np.append(self._starts[1:], len(self._lo))
-        return [(self._lo[s:e], self._hi[s:e], x_high[s:e], self._w_high[s:e],
-                 x_low[s:e], self._w_low[s:e]) for s, e in zip(self._starts, ends)]
+        return [(self._lo[s:e], self._hi[s:e], t_high[s:e], self._w_high[s:e],
+                 t_low[s:e], self._w_low[s:e]) for s, e in zip(self._starts, ends)]
 
-    _PACKED = ("_starts", "_lo", "_hi", "_w_high", "_w_low", "_nodes", "_high", "_low")
+    _PACKED = ("_starts", "_lo", "_hi", "_w_high", "_w_low", "_stat", "_high", "_low")
 
     @property
     def _packed(self) -> tuple:

@@ -8,6 +8,24 @@ depend on the observation, and the knots that resolve the density's peak.
 Survival functions are analytic so improper tail components integrate
 exactly, and parameter-domain violations raise instead of clamping (the
 optimizers rely on hard domain walls).
+
+All three are one-parameter exponential families, log f_c(x) = c T(x) +
+h(x) - A(c), so everything about x in the density can be computed once.
+Each family's node form splits the density at a point x into a c-free
+statistic t(x) and factor e^h(x) (0 below the support), from
+``node_form``, and the rest, a cheap function of c and t: its log from
+``node_log_density`` and the score from ``node_score``; the score's slope
+is ``log_density_hess``. A compiled rule keeps t at its Gauss nodes and
+folds e^h into their weights, so a density call there is one ``exp``:
+
+- Pareto: t = log(x / x0), e^h = 1 / x, log c - c t, score 1 / c - t;
+- exponential: t = x, e^h = 1, log c - c t, score 1 / c - t;
+- normal: t = x, e^h = 1 / (sigma1 sqrt(2 pi)), -(t - c)^2 / (2 sigma1^2),
+  score (t - c) / sigma1^2. The centred square does not cancel the way
+  the natural c x / sigma1^2 - c^2 / (2 sigma1^2) does at large |c|.
+
+The scalar ``density``, ``log_density_grad`` and ``log_density_hess``
+stay the oracle that adaptive integration uses.
 """
 
 from __future__ import annotations
@@ -86,6 +104,20 @@ class NormalLocation:
         self.check_param(c)
         return -1.0 / self.sigma1**2
 
+    def node_form(self, x):
+        """The c-free statistic t = x and density factor e^h = 1 / (sigma1 sqrt(2 pi)) at x."""
+        xs = np.asarray(x, dtype=float)
+        return xs, np.full(xs.shape, 1.0 / (self.sigma1 * _SQRT_2PI))
+
+    def node_log_density(self, c, t):
+        """log f_c(x) - h(x) from t = x, centred."""
+        z = (t - c) / self.sigma1
+        return -0.5 * z * z
+
+    def node_score(self, c, t):
+        """The score at x from t = x."""
+        return (t - c) / self.sigma1**2
+
     def low_cutoff(self, c: float, mass: float) -> float:
         """Point below which the family keeps less than ``mass`` probability."""
         return c + self.sigma1 * special.ndtri(mass)
@@ -148,6 +180,19 @@ class ExponentialRate:
     def log_density_hess(self, c) -> float:
         self.check_param(c)
         return -1.0 / (c * c)
+
+    def node_form(self, x):
+        """The c-free statistic t = x (0 below the support) and factor e^h = 1 (0 below) at x."""
+        xs = np.asarray(x, dtype=float)
+        return np.maximum(xs, 0.0), (xs >= 0).astype(float)
+
+    def node_log_density(self, c, t):
+        """log f_c(x) - h(x) from t = x."""
+        return math.log(c) - c * t
+
+    def node_score(self, c, t):
+        """The score at x from t = x."""
+        return 1.0 / c - t
 
     def low_cutoff(self, c: float, mass: float) -> float:
         return 0.0
@@ -223,6 +268,21 @@ class ParetoTail:
     def log_density_hess(self, c) -> float:
         self.check_param(c)
         return -1.0 / (c * c)
+
+    def node_form(self, x):
+        """The c-free statistic t = log(x / x0) (0 below x0) and factor e^h = 1 / x (0 below) at x."""
+        xs = np.asarray(x, dtype=float)
+        inside = xs >= self.x0
+        safe = np.where(inside, xs, self.x0)
+        return np.log(safe / self.x0), np.where(inside, 1.0 / safe, 0.0)
+
+    def node_log_density(self, c, t):
+        """log f_c(x) - h(x) from t = log(x / x0)."""
+        return math.log(c) - c * t
+
+    def node_score(self, c, t):
+        """The score at x from t = log(x / x0)."""
+        return 1.0 / c - t
 
     def low_cutoff(self, c: float, mass: float) -> float:
         return self.x0

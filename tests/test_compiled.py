@@ -173,10 +173,12 @@ def test_panels_refined_at_one_c_are_checked_again_at_another():
 def test_panels_that_stall_after_earlier_refinements_restart_from_compile_time():
     # a rule evaluated at c = -40 ... -10 gives at c = -5 what a fresh rule
     # gives: the family's peak knots cut at those c serve them only, so no
-    # panels refined there can stall at -5 where compile-time panels converge
+    # panels refined there can stall at -5 where compile-time panels converge;
+    # unrestricted, the kernel would be a closed-form term with no panels
     family = NormalLocation(sigma1=1.3)
-    measures = [RandomMeasure((WeightedDensity(1.0, NormalKernel(0.0, 1000.0)),))]
+    measures = [RandomMeasure((WeightedDensity(1.0, NormalKernel(0.0, 1000.0), lower=-3000.0),))]
     rule = PanelRule(family, measures)
+    assert rule.panels > 0
     for c in range(-40, -9, 5):
         assert np.isfinite(rule.integrals(c)).all()
     fresh = PanelRule(family, measures)
@@ -185,14 +187,15 @@ def test_panels_that_stall_after_earlier_refinements_restart_from_compile_time()
     assert_matches_oracle(family, measures, [-5.0, 0.0, 5.0], rule=rule)
 
 
-def test_rule_resolves_the_family_peak_under_a_wide_normal_kernel():
-    # the family's peak at c sits inside one 674-wide kernel panel, where
-    # both Gauss rules missed it together (I = 0 at c = -60) or stalled
-    # (c = -35); one rule across the whole sweep and a fresh rule per c
+def test_closed_form_term_of_a_wide_normal_kernel_holds_across_the_family_peak():
+    # an unrestricted normal kernel under the normal location is a closed-form
+    # term with no panels, exact wherever the family's peak sits; its
+    # restricted twin below keeps the panels and carries the peak cut check
     family = NormalLocation(sigma1=1.3)
     measures = [RandomMeasure((WeightedDensity(1.0, NormalKernel(0.0, 1000.0)),))]
     s = math.hypot(1.3, 1000.0)
     rule = PanelRule(family, measures)
+    assert rule.panels == 0
     for c in np.linspace(-60.0, 60.0, 241):
         exact = math.exp(-0.5 * (c / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
         for r in (rule, PanelRule(family, measures)):

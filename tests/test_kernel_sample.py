@@ -134,6 +134,34 @@ def test_fit_is_bit_identical_on_the_columns_and_on_the_list(spec, family, kind)
     assert results[0].iterations == results[1].iterations
 
 
+def test_take_shares_the_columns_and_measures_at_the_indices():
+    sample = KernelSample("gamma", shape=[1.0, 2.0, 3.0], rate=2.0, shift=0.5)
+    taken = sample.take(np.array([2, 0, 2]))
+    assert taken == KernelSample("gamma", shape=[3.0, 1.0, 3.0], rate=2.0, shift=0.5)
+    assert taken.kind == "gamma" and taken[0] is sample[2] and taken[1] is sample[0]
+    assert taken.columns["shape"].tolist() == [3.0, 1.0, 3.0]
+    with pytest.raises(ValueError):
+        taken.columns["rate"][0] = 1.0
+
+
+@pytest.mark.parametrize("spec, family, kind", SCENARIOS)
+def test_bootstrap_of_the_columns_equals_the_list_bootstrap(spec, family, kind, monkeypatch):
+    sample = simulate_scenario(spec, 300, seed=13)
+    refits = []
+    real_fit = estimator.fit
+
+    def recording_fit(family, resample, *args, **kwargs):
+        refits.append(type(resample))
+        return real_fit(family, resample, *args, **kwargs)
+
+    monkeypatch.setattr(estimator, "fit", recording_fit)
+    columns = bootstrap_se(family, sample, 12, seed=4, method="zroot")
+    listed = bootstrap_se(family, list(sample), 12, seed=4, method="zroot")
+    assert refits == [KernelSample] * 12 + [list] * 12  # the columns refits read columns
+    assert hexes(*columns.estimates) == hexes(*listed.estimates)
+    assert columns.n_failures == listed.n_failures == 0
+
+
 @pytest.mark.parametrize("spec", [SCENARIOS[0][0], SCENARIOS[2][0]])
 def test_replicate_is_bit_identical_on_the_columns_and_on_the_list(spec, monkeypatch):
     config = StudyConfig(scenario=spec, n=300, replications=4, seed=2, method="zroot")

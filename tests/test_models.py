@@ -164,3 +164,57 @@ def test_parse_family_rejects_garbage():
     for text in ["weibull", "normal", "pareto(alpha=2)", "exp(rate=1)", ""]:
         with pytest.raises(ValueError):
             parse_family(text)
+
+
+# ---------------------------------------------------------------------------
+# node form against the scalar oracle
+
+
+def _node_values(family, c, x):
+    """Density, score and score slope at x from the node form, as a compiled rule reads them.
+
+    The rule keeps t and folds the factor e^h into its weights; the slope is
+    the complex-step derivative of the node score in c.
+    """
+    t, factor = family.node_form(np.array([x]))
+    dens = factor * np.exp(family.node_log_density(c, t))
+    step = 1e-20 * max(abs(c), 1.0)
+    slope = family.node_score(complex(c, step), t).imag / step
+    return float(dens[0]), float(family.node_score(c, t)[0]), float(slope[0])
+
+
+@st.composite
+def _family_c_x(draw):
+    kind = draw(st.sampled_from(["pareto", "exp", "normal"]))
+    if kind == "normal":
+        family = NormalLocation(10.0 ** draw(st.floats(-4.0, 4.0)))
+        c = draw(st.floats(*family.default_bracket()))
+        # near the peak, where the density is not negligible, or anywhere in +-1e8
+        x = draw(st.one_of(st.floats(-40.0, 40.0).map(lambda u: c + u * family.sigma1),
+                           st.floats(-1e8, 1e8)))
+        return family, c, x
+    family = ParetoTail(10.0 ** draw(st.floats(-3.0, 3.0))) if kind == "pareto" else ExponentialRate()
+    lo, hi = family.default_bracket()
+    c = 10.0 ** draw(st.floats(math.log10(lo), math.log10(hi)))
+    edge = family.support_lower
+    # from the support edge to 1e8, log-uniform above it, or just below it
+    above = st.floats(-20.0, 0.0).map(lambda u: max(edge, 1e8 * 10.0**u))
+    below = st.floats(1e-9, 1.0).map(lambda u: edge - u * max(edge, 1.0))
+    return family, c, draw(st.one_of(st.just(edge), above, below))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_family_c_x())
+def test_node_form_matches_the_scalar_density_score_and_slope(case):
+    family, c, x = case
+    dens, score, slope = _node_values(family, c, x)
+    oracle = family.density(c, x)
+    if x < family.support_lower:
+        assert dens == 0.0 and oracle == 0.0
+        return
+    if oracle > 1e-250:
+        assert dens == pytest.approx(oracle, rel=1e-12, abs=0.0)
+    else:
+        assert dens <= 1e-249
+    assert score == pytest.approx(family.log_density_grad(c, x), rel=1e-12, abs=0.0)
+    assert slope == pytest.approx(family.log_density_hess(c), rel=1e-12, abs=0.0)
