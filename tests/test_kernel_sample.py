@@ -157,7 +157,7 @@ def test_bootstrap_of_the_columns_equals_the_list_bootstrap(spec, family, kind, 
     monkeypatch.setattr(estimator, "fit", recording_fit)
     columns = bootstrap_se(family, sample, 12, seed=4, method="zroot")
     listed = bootstrap_se(family, list(sample), 12, seed=4, method="zroot")
-    assert refits == [KernelSample] * 12 + [list] * 12  # the columns refits read columns
+    assert refits == [KernelSample] * 12 + [list] * 12
     assert hexes(*columns.estimates) == hexes(*listed.estimates)
     assert columns.n_failures == listed.n_failures == 0
 
