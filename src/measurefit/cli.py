@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .closedform import ExpGammaSpec, NormalNormalSpec, surface_grid
-from .estimator import OptimizerConfig, fit
+from .estimator import fit
 from .measure import lebesgue_density, make_gamma_bridge
 from .models import ExponentialRate, NormalLocation
 from .montecarlo import StudyConfig, replicate, simulate_scenario
@@ -181,8 +181,7 @@ def _cmd_fit(args) -> None:
             raise ValueError("claims fitting requires --sigma2")
         family, measures = build_bridge_sample(records, args.k, sigma2, args.variant)
         method = args.method or "minimize"
-        result = fit(family, measures, OptimizerConfig(bracket=(1e-3, 1e3)),
-                     method=method)
+        result = fit(family, measures, method=method)
         payload = {
             "mode": "claims",
             "family": family.spec_string(),

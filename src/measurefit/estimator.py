@@ -11,8 +11,9 @@ measure at each c. A measure that is one closed-form term (an atom, a
 gamma density under the exponential family, a normal density under the
 normal location) reads them off its closed form, and a ``KernelSample`` of
 such terms hands the rule its columns. Any other measure sums I, I' and I''
-over its terms, panels checked against the adaptive tolerance at every c,
-and takes Z = -I'/I and Z' = Z^2 - I''/I.
+over closed-form terms (these, survival tails and exact normal ramps) and
+quadrature panels checked against the adaptive tolerance at every c, and
+takes Z = -I'/I and Z' = Z^2 - I''/I.
 
 The fit is a Z-estimator solved by one method: safeguarded Newton on sum Z
 with its exact slope sum Z', inside a bracket across which sum Z changes
@@ -152,7 +153,8 @@ def _measures(sample: Sample) -> Sample:
 class _SampleEvaluator:
     """Per-measure W, Z and Z' of one sample, read off its compiled ``PanelRule``.
 
-    The rule is compiled on the first evaluation: an evaluator never asked reads nothing.
+    The rule is compiled on the first evaluation: an evaluator never asked
+    reads nothing. ``calls`` counts the sums ``point`` and ``loss`` give the solver.
     """
 
     def __init__(self, family, measures: Sample, quad: QuadratureSpec) -> None:
@@ -160,6 +162,7 @@ class _SampleEvaluator:
         self.measures = measures
         self.quad = quad
         self.n = len(measures)
+        self.calls = 0
         self._rule: PanelRule | None = None
 
     def _build_profile(self) -> PanelRule:
@@ -184,6 +187,21 @@ class _SampleEvaluator:
     def terms(self, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """W, Z and the exact slope Z' = dZ/dc of every measure at c."""
         return self._losses(c, 2)
+
+    def point(self, c: float) -> _Point | None:
+        """Sums of W, Z and Z' at c; None where the loss or its score is not finite."""
+        self.calls += 1
+        try:
+            w, z, dz = self.terms(c)
+        except FitError:
+            return None
+        point = _Point(float(c), float(w.sum()), float(z.sum()), float(dz.sum()))
+        return point if math.isfinite(point.w) and math.isfinite(point.z) else None
+
+    def loss(self, c: float) -> float:
+        """Sum of W at c, +inf where the loss is not finite."""
+        self.calls += 1
+        return float(self.w_values(c).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -228,29 +246,6 @@ def _scan_bracket(f, lo: float, hi: float, positive_domain: bool, points: int = 
     return grid[max(best - 1, 0)], grid[min(best + 1, points - 1)], point
 
 
-class _Probe:
-    """The evaluator as the solver calls it, counting its calls."""
-
-    def __init__(self, evaluator: _SampleEvaluator) -> None:
-        self.evaluator = evaluator
-        self.calls = 0
-
-    def __call__(self, c: float) -> _Point | None:
-        """Sums of W, Z and Z' at c; None where the loss or its score is not finite."""
-        self.calls += 1
-        try:
-            w, z, dz = self.evaluator.terms(c)
-        except FitError:
-            return None
-        point = _Point(float(c), float(w.sum()), float(z.sum()), float(dz.sum()))
-        return point if math.isfinite(point.w) and math.isfinite(point.z) else None
-
-    def loss(self, c: float) -> float:
-        """Sum of W at c, +inf where the loss is not finite."""
-        self.calls += 1
-        return float(self.evaluator.w_values(c).sum())
-
-
 def _midpoint(a: float, b: float, positive: bool) -> float:
     """Bisection point; geometric on a positive domain, where brackets span decades."""
     return math.sqrt(a) * math.sqrt(b) if positive else 0.5 * (a + b)
@@ -271,7 +266,7 @@ def _step(p: _Point, positive: bool) -> float:
     return -_target(p, positive) / slope if math.isfinite(slope) and slope != 0.0 else math.nan
 
 
-def _newton(probe: _Probe, a: float, pa: _Point | None, b: float, pb: _Point | None,
+def _newton(evaluator: _SampleEvaluator, a: float, pa: _Point | None, b: float, pb: _Point | None,
             positive: bool, config: OptimizerConfig, ordered: bool):
     """Safeguarded Newton for the root of the summed score between a and b.
 
@@ -320,7 +315,7 @@ def _newton(probe: _Probe, a: float, pa: _Point | None, b: float, pb: _Point | N
             c, newton_from = _midpoint(a, b, positive), None
             if not a < c < b:  # an end that is not finite, squeezed onto a finite one
                 return None
-        point = probe(c)
+        point = evaluator.point(c)
         if point is None:
             newton_from = None
             if pa is None and pb is None:
@@ -340,7 +335,7 @@ def _newton(probe: _Probe, a: float, pa: _Point | None, b: float, pb: _Point | N
     return point, False
 
 
-def _expand(probe: _Probe, pa: _Point, pb: _Point, family, max_expand: int = 60):
+def _expand(evaluator: _SampleEvaluator, pa: _Point, pb: _Point, family, max_expand: int = 60):
     """Geometric bracket growth toward the domain boundary until the score changes sign."""
     dom_lo, dom_hi = family.param_bounds
     a, b = pa.c, pb.c
@@ -358,7 +353,7 @@ def _expand(probe: _Probe, pa: _Point, pb: _Point, family, max_expand: int = 60)
             a = max(a, dom_lo + 1e-300)
         if math.isfinite(dom_hi):
             b = min(b, dom_hi)
-        pa, pb = probe(a), probe(b)
+        pa, pb = evaluator.point(a), evaluator.point(b)
         if pa is None or pb is None:
             raise FitError(f"estimating equation is not finite at both ends of ({a:g}, {b:g})")
     raise FitError(
@@ -389,38 +384,38 @@ def fit(family, sample: Sample, config: OptimizerConfig = DEFAULT_CONFIG,
     if not measures:
         raise ValueError("sample must contain at least one measure")
     evaluator = _SampleEvaluator(family, measures, quad)
-    probe = _Probe(evaluator)
     a, b = _clip_bracket(family, config.bracket or family.default_bracket())
     positive = family.param_bounds[0] >= 0
 
     ordered = method == "minimize"
-    pa, pb = probe(a), probe(b)
-    solved = _newton(probe, a, pa, b, pb, positive, config, ordered)
+    pa, pb = evaluator.point(a), evaluator.point(b)
+    solved = _newton(evaluator, a, pa, b, pb, positive, config, ordered)
     if solved is None and ordered:
-        lo, hi, best = _scan_bracket(probe.loss, a, b, positive)
-        solved = _newton(probe, lo, probe(lo), hi, probe(hi), positive, config, ordered)
+        lo, hi, best = _scan_bracket(evaluator.loss, a, b, positive)
+        solved = _newton(evaluator, lo, evaluator.point(lo), hi, evaluator.point(hi),
+                         positive, config, ordered)
         if solved is None:
             if best.c not in (a, b):
                 raise FitError("no minimum of the objective bracketed")
             solved = best, True  # the loss is least at an end of the bracket
     elif solved is None:
         if pa is None or pb is None:
-            lo, hi, _ = _scan_bracket(probe.loss, a, b, positive)
-            pa, pb = probe(lo), probe(hi)
-            solved = _newton(probe, lo, pa, hi, pb, positive, config, ordered)
+            lo, hi, _ = _scan_bracket(evaluator.loss, a, b, positive)
+            pa, pb = evaluator.point(lo), evaluator.point(hi)
+            solved = _newton(evaluator, lo, pa, hi, pb, positive, config, ordered)
             if solved is None and (pa is None or pb is None):
                 raise FitError(f"estimating equation is not finite at both ends of "
                                f"({lo:g}, {hi:g})")
         if solved is None:
-            pa, pb = _expand(probe, pa, pb, family)
-            solved = _newton(probe, pa.c, pa, pb.c, pb, positive, config, ordered)
+            pa, pb = _expand(evaluator, pa, pb, family)
+            solved = _newton(evaluator, pa.c, pa, pb.c, pb, positive, config, ordered)
     point, converged = solved
     if not converged:
         raise FitError(f"{method} did not converge within {config.max_iter} iterations")
 
     result = FitResult(
         estimate=point.c, n=evaluator.n, method=method,
-        converged=converged, iterations=probe.calls, objective=point.w,
+        converged=converged, iterations=evaluator.calls, objective=point.w,
     )
     if compute_sandwich:
         m_hat, j_hat, v_hat = _sandwich(evaluator, result.estimate)

@@ -13,6 +13,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
@@ -581,29 +582,72 @@ def _split_at(lo: np.ndarray, hi: np.ndarray, knots: np.ndarray, width: float):
             np.concatenate([hi[~wide], *(p[1:] for p in cuts)]))
 
 
+class _Panels(NamedTuple):
+    """The panels of a rule's components, packed flat.
+
+    Component k owns panels ``starts[k]`` up to ``ends[k]``; ``stat`` holds
+    the node statistics t at the high-rule nodes, then at the low-rule
+    nodes, so one density call covers both.
+    """
+
+    starts: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    w_high: np.ndarray
+    w_low: np.ndarray
+    stat: np.ndarray
+
+    @classmethod
+    def pack(cls, rules) -> _Panels:
+        """Concatenate the components' rules, as ``PanelRule._component_rule`` returns them."""
+        lo, hi, t_high, w_high, t_low, w_low = (
+            [np.concatenate(col) for col in zip(*rules)] if rules else _NO_PANELS)
+        starts = np.cumsum([0] + [len(r[0]) for r in rules], dtype=np.intp)[:-1]
+        return cls(starts, lo, hi, w_high, w_low, np.concatenate([t_high.ravel(), t_low.ravel()]))
+
+    def rules(self) -> list:
+        """The components' rules, as ``pack`` takes them."""
+        n = self.w_high.size
+        t_high = self.stat[:n].reshape(self.w_high.shape)
+        t_low = self.stat[n:].reshape(self.w_low.shape)
+        return [(self.lo[s:e], self.hi[s:e], t_high[s:e], self.w_high[s:e],
+                 t_low[s:e], self.w_low[s:e]) for s, e in zip(self.starts, self.ends)]
+
+    @property
+    def ends(self) -> np.ndarray:
+        return np.append(self.starts[1:], len(self.lo))
+
+    def high_sums(self, node_values: np.ndarray) -> np.ndarray:
+        """Per-component high-rule sums of values given at the high-rule nodes."""
+        per_panel = node_values.reshape(self.w_high.shape) * self.w_high
+        return np.add.reduceat(per_panel.sum(axis=1), self.starts)
+
+
 class PanelRule:
     """The measures of one sample compiled for evaluation at many c.
 
     Within a fit the measures do not depend on the parameter, only the family
-    density does. So each distinct measure is compiled once into terms:
-    closed-form terms (``closed_form_terms``), survival terms (constant tails
-    and ramp cuts), exact ramps (a normal ramp under the normal location is
-    Phi((c - mean) / s), s^2 = sigma1^2 + sd^2) and quadrature panels for every
-    other density or ramp, whose 21- and 10-point Gauss nodes carry c-free
-    weights (kernel pdf for densities, kernel sf for ramps, times the
-    family's density factor e^h) and the family's c-free node statistic t
-    (see ``models``). A ``KernelSample`` of closed-form terms hands over its
-    columns as they are.
+    density does. So each distinct measure is compiled once into terms of two
+    kinds. Closed-form terms are the kinds of ``closed_form_terms``, plus
+    ``"tail"`` (a constant tail or ramp cut, height times the family's
+    survival at ``lower``) and ``"ramp"`` (a normal ramp under the normal
+    location, Phi((c - mean) / s) with s^2 = sigma1^2 + sd^2). Quadrature
+    panels take every other density or ramp; their 21- and 10-point Gauss
+    nodes carry c-free weights (kernel pdf for densities, kernel sf for
+    ramps, times the family's density factor e^h) and the family's c-free
+    node statistic t (see ``models``). A ``KernelSample`` of closed-form
+    terms hands over its columns as they are.
 
     ``losses(c)`` returns W = -log I(c), Z = dW/dc and Z' = dZ/dc of every
     measure. A measure of one closed-form term reads them off that term. Any
     other sums I, I' and I'' over its terms, which ``integrals(c)``,
     ``integrals_with_grad(c)`` and ``integrals_with_hess(c)`` return: a
-    closed-form term adds e^-W, -Z e^-W and (Z^2 - Z') e^-W, an atom or a
-    panel node its density times 1, the score and score^2 + score'. Atoms
-    read the family's scalar density and score; all panel nodes share one
-    ``exp`` of the family's node log density at their t, and their scores
-    are the node score at t.
+    term of ``closed_form_terms`` adds e^-W, -Z e^-W and (Z^2 - Z') e^-W, an
+    atom or a panel node its density times 1, the score and score^2 +
+    score', a tail or a ramp its value and exact parameter derivatives.
+    Atoms read the family's scalar density and score; all panel nodes share
+    one ``exp`` of the family's node log density at their t, and their
+    scores are the node score at t.
 
     At every c each panel component's integral is accepted only under the
     rule of ``refine_panels``: summed error ``|high - low|`` within
@@ -612,19 +656,25 @@ class PanelRule:
     its refined panels, with t at their nodes, for later c; where that
     fails, it is refined once more from its compile-time panels before the
     error is raised, so a rule's history never makes it fail where
-    ``integrate`` succeeds. Under a family whose density peaks
-    inside its support (the normal location) the peak knots at c are cut
-    into every panel wider than their spacing before the check, since Gauss
-    nodes straddling a narrow peak agree on a wrong value. The cut serves
-    that c only, unless a refinement at c repacks the rule, which keeps it.
+    ``integrate`` succeeds. The panels are one immutable ``_Panels`` value.
+    Under a family whose density peaks inside its support (the normal
+    location) the peak knots at c are cut into every panel wider than their
+    spacing before the check, since Gauss nodes straddling a narrow peak
+    agree on a wrong value. The cut panels serve that c only; a refinement
+    at c is made from them, so the panels the rule keeps include the cut.
     """
+
+    # the columns of each closed-form term kind
+    _TERMS = {"dirac": ("location",), "gamma": ("shape", "rate", "shift", "log_weight"),
+              "normal": ("mean", "sd", "log_weight"), "tail": ("lower", "height"),
+              "ramp": ("mean", "s")}
 
     def __init__(self, family, measures, quad: QuadratureSpec = DEFAULT_QUAD) -> None:
         self.family = family
         self.quad = quad
-        tails, ramps, comps = [], [], []
+        comps = []
         direct = {kind: [] for kind in KernelSample._FIELDS}  # measures of one closed-form term
-        mixed = {kind: [] for kind in KernelSample._FIELDS}  # closed-form terms of other measures
+        mixed = {kind: [] for kind in self._TERMS}  # closed-form terms of other measures
         linear: list[int] = []
         if isinstance(measures, KernelSample) and self._covers(measures):
             self._slot_of, self._n_slots = _EVERY, len(measures)
@@ -643,20 +693,16 @@ class PanelRule:
                     direct[term[0]].append(term[1])
                 else:
                     linear.append(slot)
-                    self._compile(components, slot, mixed, tails, ramps, comps)
+                    self._compile(components, slot, mixed, comps)
             self._direct = self._groups(direct)
         self._mixed = self._groups(mixed)
         self._linear = np.array(linear, dtype=np.intp)
-        self._tail_lower = np.array([x for _, x, _ in tails], dtype=float)
-        self._tail_height = np.array([h for _, _, h in tails], dtype=float)
-        self._ramp_mean = np.array([u for _, u, _ in ramps], dtype=float)
-        self._ramp_sd = np.array([s for _, _, s in ramps], dtype=float)
         self._scale = np.array([w for _, w, _, _ in comps], dtype=float)
         self._weight_fns = [g for _, _, g, _ in comps]
         self._knots = [k for _, _, _, k in comps]  # the compile-time panels
-        # owners of the terms _panel_terms returns: survival terms, exact ramps, components
-        self._owner = np.array([t[0] for t in tails + ramps + comps], dtype=np.intp)
-        self._pack([self._component_rule(g, k[:-1], k[1:]) for _, _, g, k in comps])
+        self._owner = np.array([slot for slot, _, _, _ in comps], dtype=np.intp)
+        self._panels = _Panels.pack([self._component_rule(g, k[:-1], k[1:])
+                                     for _, _, g, k in comps])
 
     def _covers(self, sample: KernelSample) -> bool:
         """Whether every measure of the sample is one closed-form term under the family."""
@@ -678,19 +724,18 @@ class PanelRule:
             return "normal", (slot, kernel.mean, kernel.sd, math.log(comp.weight))
         return None
 
-    @staticmethod
-    def _groups(terms: dict) -> list:
+    @classmethod
+    def _groups(cls, terms: dict) -> list:
         """``(kind, columns, slots)`` of each kind that has terms."""
         groups = []
         for kind, rows in terms.items():
             if rows:
                 slots, *values = zip(*rows)
-                fields = KernelSample._FIELDS[kind] + ("log_weight",)
-                columns = {f: np.array(v, dtype=float) for f, v in zip(fields, values)}
+                columns = {f: np.array(v, dtype=float) for f, v in zip(cls._TERMS[kind], values)}
                 groups.append((kind, columns, np.array(slots, dtype=np.intp)))
         return groups
 
-    def _compile(self, components, slot: int, mixed, tails, ramps, comps) -> None:
+    def _compile(self, components, slot: int, mixed, comps) -> None:
         """Append the terms of a measure that is not one closed-form term."""
         family, quad = self.family, self.quad
         for comp in components:
@@ -699,7 +744,7 @@ class PanelRule:
                 mixed[term[0]].append(term[1])
             elif isinstance(comp, ConstantTail):
                 if comp.height > 0:
-                    tails.append((slot, comp.lower, comp.height))
+                    mixed["tail"].append((slot, comp.lower, comp.height))
             elif isinstance(comp, WeightedDensity):
                 if comp.weight > 0:
                     knots = density_knots(family, comp, quad)
@@ -710,10 +755,10 @@ class PanelRule:
                 if domain is None:
                     # both normal: P(Y <= X) for X ~ N(c, sigma1^2), Y ~ N(mean, sd^2)
                     kernel = comp.kernel
-                    ramps.append((slot, kernel.mean, math.hypot(family.sigma1, kernel.sd)))
+                    mixed["ramp"].append((slot, kernel.mean, math.hypot(family.sigma1, kernel.sd)))
                     continue
                 lo, knots = domain
-                tails.append((slot, lo, 1.0))
+                mixed["tail"].append((slot, lo, 1.0))
                 if knots is not None:
                     comps.append((slot, -1.0, comp.kernel.sf, knots))
             else:
@@ -731,20 +776,10 @@ class PanelRule:
         return (lo, hi, t_high, w_high * weight_fn(x_high) * h_high,
                 t_low, w_low * weight_fn(x_low) * h_low)
 
-    def _pack(self, rules) -> None:
-        """Concatenate the components' rules into the flat arrays ``_panel_terms`` reads."""
-        lo, hi, t_high, w_high, t_low, w_low = (
-            [np.concatenate(col) for col in zip(*rules)] if rules else _NO_PANELS)
-        self._starts = np.cumsum([0] + [len(r[0]) for r in rules], dtype=np.intp)[:-1]
-        self._lo, self._hi, self._w_high, self._w_low = lo, hi, w_high, w_low
-        # one statistic array for one density call: high, then low rule nodes
-        self._stat = np.concatenate([t_high.ravel(), t_low.ravel()])
-        self._high, self._low = slice(0, w_high.size), slice(w_high.size, None)
-
     @property
     def panels(self) -> int:
         """Number of quadrature panels currently compiled."""
-        return len(self._lo)
+        return len(self._panels.lo)
 
     def losses(self, c: float, order: int = 2) -> tuple:
         """W = -log I(c) of every measure and its first ``order`` derivatives, in sample order."""
@@ -804,111 +839,76 @@ class PanelRule:
             score = family.log_density_grad(c, np.maximum(x, family.support_lower))
             grad = dens * score
             return [dens, grad, grad * score + dens * family.log_density_hess(c)][:order + 1]
+        if kind == "tail":  # height times the survival at the lower bound
+            fns = (family.survival, family.survival_grad, family.survival_hess)[:order + 1]
+            return [columns["height"] * fn(c, columns["lower"]) for fn in fns]
+        if kind == "ramp":  # Phi((c - mean) / s)
+            s = columns["s"]
+            z = (c - columns["mean"]) / s
+            pdf = np.exp(-0.5 * z * z) / (_SQRT_2PI * s)
+            return [special.ndtr(z), pdf, -z * pdf / s][:order + 1]
         w, z, dz = closed_form_terms(family, kind, c, columns)
         values = np.exp(-w)
         return [values, -z * values, (z * z - dz) * values][:order + 1]
 
     def _panel_terms(self, c: float, order: int) -> list:
-        """I and its first ``order`` derivatives of the survival terms, ramps and panels."""
-        uncut = self._cut_at_peak(c)
-        cut = self._lo
-        try:
-            return self._panel_terms_packed(c, order)
-        finally:
-            if uncut is not None and self._lo is cut:  # no refinement kept the cut
-                self._packed = uncut
-
-    def _panel_terms_packed(self, c: float, order: int) -> list:
+        """I and its first ``order`` derivatives of the panel components, cut at c's peak."""
         family, quad = self.family, self.quad
+        panels = self._cut_at_peak(c, self._panels)
         # the node density over e^h, which the weights carry
-        dens = np.exp(family.node_log_density(c, self._stat))
-        high = (dens[self._high].reshape(self._w_high.shape) * self._w_high).sum(axis=1)
-        low = (dens[self._low].reshape(self._w_low.shape) * self._w_low).sum(axis=1)
+        dens = np.exp(family.node_log_density(c, panels.stat))
+        n = panels.w_high.size  # the high-rule nodes come first
+        high = (dens[:n].reshape(panels.w_high.shape) * panels.w_high).sum(axis=1)
+        low = (dens[n:].reshape(panels.w_low.shape) * panels.w_low).sum(axis=1)
         err = np.abs(high - low)
-        totals = np.add.reduceat(high, self._starts)
-        errors = np.add.reduceat(err, self._starts)
+        totals = np.add.reduceat(high, panels.starts)
+        errors = np.add.reduceat(err, panels.starts)
         tols = np.maximum(quad.abs_tol, quad.rel_tol * np.abs(totals))
         failing = np.isfinite(errors) & (errors > tols)
         if not np.isfinite(totals[~failing]).all():
             raise QuadratureError("integrand produced non-finite values")
         if failing.any():
-            totals = self._refine(c, np.flatnonzero(failing), totals, high, err)
+            panels, totals = self._refine(c, panels, np.flatnonzero(failing), totals, high, err)
+            self._panels = panels
             if order:  # the nodes of the refined panels
-                dens = np.exp(family.node_log_density(c, self._stat))
-        ramp_z = (c - self._ramp_mean) / self._ramp_sd
-        terms = [(self._tail_height * family.survival(c, self._tail_lower),
-                  special.ndtr(ramp_z), totals)]
+                dens = np.exp(family.node_log_density(c, panels.stat))
+        terms = [totals]
         if order:
-            dens = dens[self._high]
-            score = family.node_score(c, self._stat[self._high])
+            n = panels.w_high.size
+            dens, score = dens[:n], family.node_score(c, panels.stat[:n])
             grad = dens * score
-            ramp_pdf = np.exp(-0.5 * ramp_z * ramp_z) / (_SQRT_2PI * self._ramp_sd)
-            terms.append((self._tail_height * family.survival_grad(c, self._tail_lower),
-                          ramp_pdf, self._high_sums(grad)))
+            terms.append(panels.high_sums(grad))
         if order > 1:
-            hess = grad * score + dens * family.log_density_hess(c)
-            terms.append((self._tail_height * family.survival_hess(c, self._tail_lower),
-                          -ramp_z * ramp_pdf / self._ramp_sd, self._high_sums(hess)))
-        return [np.concatenate([tails, ramps, self._scale * components])
-                for tails, ramps, components in terms]
+            terms.append(panels.high_sums(grad * score + dens * family.log_density_hess(c)))
+        return [self._scale * values for values in terms]
 
-    def _high_sums(self, node_values: np.ndarray) -> np.ndarray:
-        """Per-component high-rule sums of values given at the high-rule nodes."""
-        per_panel = node_values.reshape(self._w_high.shape) * self._w_high
-        return np.add.reduceat(per_panel.sum(axis=1), self._starts)
-
-    def _rules(self) -> list:
-        """The components' panels, node statistics and weights, as ``_pack`` takes them."""
-        t_high = self._stat[self._high].reshape(self._w_high.shape)
-        t_low = self._stat[self._low].reshape(self._w_low.shape)
-        ends = np.append(self._starts[1:], len(self._lo))
-        return [(self._lo[s:e], self._hi[s:e], t_high[s:e], self._w_high[s:e],
-                 t_low[s:e], self._w_low[s:e]) for s, e in zip(self._starts, ends)]
-
-    _PACKED = ("_starts", "_lo", "_hi", "_w_high", "_w_low", "_stat", "_high", "_low")
-
-    @property
-    def _packed(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._PACKED)
-
-    @_packed.setter
-    def _packed(self, state: tuple) -> None:
-        for name, value in zip(self._PACKED, state):
-            setattr(self, name, value)
-
-    def _cut_at_peak(self, c: float):
-        """Cut the family's peak knots at c into every panel wider than their spacing.
-
-        Returns the packed state from before the cut, or None when nothing was cut.
-        """
+    def _cut_at_peak(self, c: float, panels: _Panels) -> _Panels:
+        """The panels with the family's peak knots at c cut into those wider than their spacing."""
         peak = self.family.peak_knots(c)
-        if not (peak.size and self.panels):
-            return None
+        if not (peak.size and len(panels.lo)):
+            return panels
         width = float(np.diff(peak).min())
-        if len(_split_at(self._lo, self._hi, peak, width)[0]) == self.panels:
-            return None
-        uncut = self._packed
-        rules = self._rules()
+        if len(_split_at(panels.lo, panels.hi, peak, width)[0]) == len(panels.lo):
+            return panels
+        rules = panels.rules()
         for k, rule in enumerate(rules):
             lo, hi = _split_at(rule[0], rule[1], peak, width)
             if len(lo) > len(rule[0]):
                 rules[k] = self._component_rule(self._weight_fns[k], lo, hi)
-        self._pack(rules)
-        return uncut
+        return _Panels.pack(rules)
 
-    def _refine(self, c: float, failing: np.ndarray, totals: np.ndarray,
-                high: np.ndarray, err: np.ndarray) -> np.ndarray:
-        """Bisect the failing components at c, then pack all panels once."""
+    def _refine(self, c: float, panels: _Panels, failing: np.ndarray, totals: np.ndarray,
+                high: np.ndarray, err: np.ndarray) -> tuple[_Panels, np.ndarray]:
+        """Bisect the failing components at c; the new panels and every component's total."""
         family = self.family
         peak = family.peak_knots(c)
-        rules = self._rules()
-        ends = np.append(self._starts[1:], len(self._lo))
+        rules, ends = panels.rules(), panels.ends
         totals = totals.copy()
         for k in failing:
-            g, s, e = self._weight_fns[k], self._starts[k], ends[k]
+            g, s, e = self._weight_fns[k], panels.starts[k], ends[k]
             integrand = lambda x: family.density(c, x) * g(x)
             try:
-                totals[k], lo, hi = refine_panels(integrand, self._lo[s:e], self._hi[s:e],
+                totals[k], lo, hi = refine_panels(integrand, panels.lo[s:e], panels.hi[s:e],
                                                   self.quad, (high[s:e], err[s:e]))
             except QuadratureError:
                 # panels refined at earlier c can stall where the compile-time
@@ -921,5 +921,4 @@ class PanelRule:
                     raise
                 totals[k], lo, hi = refine_panels(integrand, lo, hi, self.quad)
             rules[k] = self._component_rule(g, lo, hi)
-        self._pack(rules)
-        return totals
+        return _Panels.pack(rules), totals

@@ -19,7 +19,10 @@ is ``log_density_hess``. A compiled rule keeps t at its Gauss nodes and
 folds e^h into their weights, so a density call there is one ``exp``:
 
 - Pareto: t = log(x / x0), e^h = 1 / x, log c - c t, score 1 / c - t;
-- exponential: t = x, e^h = 1, log c - c t, score 1 / c - t;
+- exponential: t = x, e^h = 1, log c - c t, score 1 / c - t. A Pareto law
+  above x0 is the exponential law of t = log(x / x0), so the two share
+  ``_RateFamily``, and the Hill estimator ``tailstudy.imputation_index`` is
+  the exponential-rate MLE in t;
 - normal: t = x, e^h = 1 / (sigma1 sqrt(2 pi)), -(t - c)^2 / (2 sigma1^2),
   score (t - c) / sigma1^2. The centred square does not cancel the way
   the natural c x / sigma1^2 - c^2 / (2 sigma1^2) does at large |c|.
@@ -133,11 +136,39 @@ class NormalLocation:
         return f"normal(sigma1={self.sigma1:g})"
 
 
-@dataclass(frozen=True)
-class ExponentialRate:
-    """Exponential family parametrized by its rate."""
+class _RateFamily:
+    """The exponential and Pareto families' shared density c e^(-c t) in the statistic t.
+
+    They differ in t(x) and in the scalar oracle methods, kept per class.
+    """
 
     param_bounds = (0.0, math.inf)
+
+    def log_density_hess(self, c) -> float:
+        """Derivative of the score in the parameter."""
+        self.check_param(c)
+        return -1.0 / (c * c)
+
+    def node_log_density(self, c, t):
+        """log f_c(x) - h(x) from the node statistic t."""
+        return math.log(c) - c * t
+
+    def node_score(self, c, t):
+        """The score at x from the node statistic t."""
+        return 1.0 / c - t
+
+    def peak_knots(self, c: float) -> np.ndarray:
+        """No knots: the density decays from the support edge, which edge knots resolve."""
+        return _NO_KNOTS
+
+    def default_bracket(self):
+        return (1e-3, 1e3)
+
+
+@dataclass(frozen=True)
+class ExponentialRate(_RateFamily):
+    """Exponential family parametrized by its rate."""
+
     support_lower = 0.0
 
     def check_param(self, c: float) -> None:
@@ -177,39 +208,17 @@ class ExponentialRate:
             raise SupportError("exponential observations must be nonnegative")
         return _maybe_float(x, 1.0 / c - xs)
 
-    def log_density_hess(self, c) -> float:
-        self.check_param(c)
-        return -1.0 / (c * c)
-
     def node_form(self, x):
         """The c-free statistic t = x (0 below the support) and factor e^h = 1 (0 below) at x."""
         xs = np.asarray(x, dtype=float)
         return np.maximum(xs, 0.0), (xs >= 0).astype(float)
-
-    def node_log_density(self, c, t):
-        """log f_c(x) - h(x) from t = x."""
-        return math.log(c) - c * t
-
-    def node_score(self, c, t):
-        """The score at x from t = x."""
-        return 1.0 / c - t
-
-    def low_cutoff(self, c: float, mass: float) -> float:
-        return 0.0
-
-    def peak_knots(self, c: float) -> np.ndarray:
-        """No knots: the density decays from the support edge, which edge knots resolve."""
-        return _NO_KNOTS
-
-    def default_bracket(self):
-        return (1e-3, 1e3)
 
     def spec_string(self) -> str:
         return "exp"
 
 
 @dataclass(frozen=True)
-class ParetoTail:
+class ParetoTail(_RateFamily):
     """Pareto family above a known threshold x0; heavier tails for smaller c."""
 
     x0: float = 1.0
@@ -217,8 +226,6 @@ class ParetoTail:
     def __post_init__(self) -> None:
         if not (self.x0 > 0 and math.isfinite(self.x0)):
             raise ValueError("x0 must be positive and finite")
-
-    param_bounds = (0.0, math.inf)
 
     @property
     def support_lower(self) -> float:
@@ -265,34 +272,12 @@ class ParetoTail:
             raise SupportError(f"pareto observations must be >= x0 = {self.x0}")
         return _maybe_float(x, 1.0 / c - np.log(xs / self.x0))
 
-    def log_density_hess(self, c) -> float:
-        self.check_param(c)
-        return -1.0 / (c * c)
-
     def node_form(self, x):
         """The c-free statistic t = log(x / x0) (0 below x0) and factor e^h = 1 / x (0 below) at x."""
         xs = np.asarray(x, dtype=float)
         inside = xs >= self.x0
         safe = np.where(inside, xs, self.x0)
         return np.log(safe / self.x0), np.where(inside, 1.0 / safe, 0.0)
-
-    def node_log_density(self, c, t):
-        """log f_c(x) - h(x) from t = log(x / x0)."""
-        return math.log(c) - c * t
-
-    def node_score(self, c, t):
-        """The score at x from t = log(x / x0)."""
-        return 1.0 / c - t
-
-    def low_cutoff(self, c: float, mass: float) -> float:
-        return self.x0
-
-    def peak_knots(self, c: float) -> np.ndarray:
-        """No knots: the density decays from the support edge, which edge knots resolve."""
-        return _NO_KNOTS
-
-    def default_bracket(self):
-        return (1e-3, 1e3)
 
     def spec_string(self) -> str:
         return f"pareto(x0={self.x0:g})"

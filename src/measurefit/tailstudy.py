@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimator import FitError, OptimizerConfig, fit
+from .estimator import FitError, fit
 from .measure import RandomMeasure, make_dirac, make_gamma_bridge
 from .models import ParetoTail
 from .quadrature import DEFAULT_QUAD, QuadratureSpec
@@ -194,13 +194,12 @@ def build_bridge_sample(records, k: int, sigma2: float, variant: str = "A"):
 
 @dataclass(frozen=True)
 class TailConfig:
-    """Grid and solver settings for the tail curve."""
+    """Grid and quadrature settings for the tail curve."""
 
     k: int = 69
     sigma2_grid: tuple[float, ...] = ()
     variant: str = "A"
     quad: QuadratureSpec = DEFAULT_QUAD
-    bracket: tuple[float, float] = (1e-3, 1e3)
 
     def __post_init__(self) -> None:
         if self.k < 2:
@@ -240,13 +239,12 @@ def tail_curve(subsample, x0: float, config: TailConfig) -> CurveResult:
     """
     records = list(subsample)
     family = ParetoTail(x0)
-    opt = OptimizerConfig(bracket=config.bracket)
     estimates = np.full(len(config.sigma2_grid), np.nan)
     failures: list[tuple[int, str]] = []
     for i, s2 in enumerate(config.sigma2_grid):
         measures = [claim_measure(r, s2, config.variant) for r in records]
         try:
-            res = fit(family, measures, opt, config.quad, method="minimize",
+            res = fit(family, measures, quad=config.quad, method="minimize",
                       compute_sandwich=False)
             estimates[i] = res.estimate
         except (FitError, ValueError, RuntimeError) as exc:

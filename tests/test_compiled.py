@@ -541,3 +541,22 @@ def test_rule_resolves_the_family_peak_under_a_wide_restricted_normal_kernel():
             assert values[0] == pytest.approx(exact, rel=1e-9), c
             assert -grads[0] / values[0] == pytest.approx(c / s**2, rel=1e-7, abs=1e-15), c
     assert rule.panels == PanelRule(family, measures).panels
+
+
+def test_a_refinement_where_the_peak_cut_applies_keeps_the_cut(monkeypatch):
+    # at one c of this grid a component fails its check on panels the family's
+    # peak knots were cut into; the refined panels replace the rule's, the cut
+    # included, and every value still matches the oracle
+    family = NormalLocation(sigma1=1.42)
+    kernel = GammaKernel(0.8566118788090663, 0.2215712558191765, -2.079533241030404)
+    measures = [RandomMeasure((WeightedDensity(1.0, kernel),))]
+    refine, on_cut = PanelRule._refine, []
+
+    def spy(self, c, panels, *args):
+        on_cut.append(len(panels.lo) > self.panels)
+        return refine(self, c, panels, *args)
+
+    monkeypatch.setattr(PanelRule, "_refine", spy)
+    rule = assert_matches_oracle(family, measures, np.linspace(-40.0, 40.0, 81))
+    assert any(on_cut)
+    assert rule.panels > PanelRule(family, measures).panels
