@@ -154,7 +154,9 @@ class _SampleEvaluator:
     """Per-measure W, Z and Z' of one sample, read off its compiled ``PanelRule``.
 
     The rule is compiled on the first evaluation: an evaluator never asked
-    reads nothing. ``calls`` counts the sums ``point`` and ``loss`` give the solver.
+    reads nothing. Every evaluation reads all three; ``w_values`` returns W
+    and never raises, ``terms`` and ``z_values`` raise ``FitError`` where a
+    W is not finite. ``calls`` counts the sums ``point`` and ``loss`` give the solver.
     """
 
     def __init__(self, family, measures: Sample, quad: QuadratureSpec) -> None:
@@ -169,24 +171,25 @@ class _SampleEvaluator:
         """Compile the sample's rule (the benchmark tracer times this call by its name)."""
         return PanelRule(self.family, self.measures, self.quad)
 
-    def _losses(self, c: float, order: int) -> tuple:
-        """W and its first ``order`` derivatives; FitError where Z is asked and a W is infinite."""
+    def _losses(self, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """W, Z and Z' of every measure at c, from the rule compiled on first use."""
         if self._rule is None:
             self._rule = self._build_profile()
-        terms = self._rule.losses(c, order)
-        if order and not np.isfinite(terms[0]).all():
-            raise FitError(f"loss is not finite at c = {c}; gradient undefined")
-        return terms
+        return self._rule.losses(c)
 
     def w_values(self, c: float) -> np.ndarray:
-        return self._losses(c, 0)[0]
+        """W of every measure at c; +inf where the integral vanishes."""
+        return self._losses(c)[0]
 
     def z_values(self, c: float) -> np.ndarray:
-        return self._losses(c, 1)[1]
+        return self.terms(c)[1]
 
     def terms(self, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """W, Z and the exact slope Z' = dZ/dc of every measure at c."""
-        return self._losses(c, 2)
+        """W, Z and the exact slope Z' of every measure at c; FitError where a W is not finite."""
+        terms = self._losses(c)
+        if not np.isfinite(terms[0]).all():
+            raise FitError(f"loss is not finite at c = {c}; gradient undefined")
+        return terms
 
     def point(self, c: float) -> _Point | None:
         """Sums of W, Z and Z' at c; None where the loss or its score is not finite."""
@@ -336,25 +339,29 @@ def _newton(evaluator: _SampleEvaluator, a: float, pa: _Point | None, b: float, 
 
 
 def _expand(evaluator: _SampleEvaluator, pa: _Point, pb: _Point, family, max_expand: int = 60):
-    """Geometric bracket growth toward the domain boundary until the score changes sign."""
+    """Geometric bracket growth toward the domain boundary until the score changes sign.
+
+    A grown end where the loss is not finite counts as lying beyond the
+    root, as an end of ``_newton``'s bracket does: it stops growing and is
+    returned as None. Returns the bracket as ``(a, pa, b, pb)``.
+    """
     dom_lo, dom_hi = family.param_bounds
     a, b = pa.c, pb.c
     for _ in range(max_expand):
-        if pa.z * pb.z <= 0:
-            return pa, pb
-        if dom_lo >= 0.0:
-            a = max(a / 8.0, 1e-300)
-            b = min(b * 8.0, 1e300)
-        else:
-            span = b - a
-            a -= span
-            b += span
-        if math.isfinite(dom_lo):
-            a = max(a, dom_lo + 1e-300)
-        if math.isfinite(dom_hi):
-            b = min(b, dom_hi)
-        pa, pb = evaluator.point(a), evaluator.point(b)
-        if pa is None or pb is None:
+        if (-1.0 if pa is None else pa.z) * (1.0 if pb is None else pb.z) <= 0:
+            return a, pa, b, pb
+        span = b - a
+        if pa is not None:
+            a = max(a / 8.0, 1e-300) if dom_lo >= 0.0 else a - span
+            if math.isfinite(dom_lo):
+                a = max(a, dom_lo + 1e-300)
+            pa = evaluator.point(a)
+        if pb is not None:
+            b = min(b * 8.0, 1e300) if dom_lo >= 0.0 else b + span
+            if math.isfinite(dom_hi):
+                b = min(b, dom_hi)
+            pb = evaluator.point(b)
+        if pa is None and pb is None:
             raise FitError(f"estimating equation is not finite at both ends of ({a:g}, {b:g})")
     raise FitError(
         f"estimating equation has no sign change on ({a:g}, {b:g}); "
@@ -407,8 +414,10 @@ def fit(family, sample: Sample, config: OptimizerConfig = DEFAULT_CONFIG,
                 raise FitError(f"estimating equation is not finite at both ends of "
                                f"({lo:g}, {hi:g})")
         if solved is None:
-            pa, pb = _expand(evaluator, pa, pb, family)
-            solved = _newton(evaluator, pa.c, pa, pb.c, pb, positive, config, ordered)
+            solved = _newton(evaluator, *_expand(evaluator, pa, pb, family),
+                             positive, config, ordered)
+            if solved is None:
+                raise FitError("no finite root inside the grown bracket")
     point, converged = solved
     if not converged:
         raise FitError(f"{method} did not converge within {config.max_iter} iterations")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -185,43 +185,17 @@ class ConstantTail:
 MeasureComponent = DiracAtom | WeightedDensity | CdfRamp | ConstantTail
 
 
-def _component_lower(comp: MeasureComponent) -> float:
-    if isinstance(comp, DiracAtom):
-        return comp.location
-    if isinstance(comp, WeightedDensity):
-        lo = comp.kernel.support_lower
-        return max(lo, comp.lower) if comp.lower is not None else lo
-    if isinstance(comp, CdfRamp):
-        return comp.kernel.support_lower
-    return comp.lower
-
-
 @dataclass(frozen=True)
 class RandomMeasure:
     """One datapoint: an ordered collection of measure components."""
 
     components: tuple[MeasureComponent, ...]
-    support_lower: float = field(default=math.nan)
 
     def __post_init__(self) -> None:
-        comps = self.components
-        if type(comps) is not tuple:
-            comps = tuple(comps)
-            object.__setattr__(self, "components", comps)
-        if not comps:
+        if type(self.components) is not tuple:
+            object.__setattr__(self, "components", tuple(self.components))
+        if not self.components:
             raise ValueError("a random measure needs at least one component")
-        if math.isnan(self.support_lower):
-            # most measures hold one component: no min() over a generator
-            lower = (_component_lower(comps[0]) if len(comps) == 1
-                     else min(_component_lower(c) for c in comps))
-            object.__setattr__(self, "support_lower", lower)
-        else:
-            for c in comps:
-                if _component_lower(c) < self.support_lower - 1e-12:
-                    raise ValueError(
-                        f"component {c!r} extends below declared support "
-                        f"lower bound {self.support_lower}"
-                    )
 
 
 def total_mass(measure: RandomMeasure) -> float:
@@ -536,8 +510,8 @@ _EVERY = slice(None)
 _NO_PANELS = (np.empty(0), np.empty(0), *gauss_rule(np.empty(0), np.empty(0)))
 
 
-def closed_form_terms(family, kind: str, c: float, columns, order: int = 2) -> tuple:
-    """W = -log I, Z = dW/dc and Z' = dZ/dc of one-term measures at c, up to ``order``.
+def closed_form_terms(family, kind: str, c: float, columns) -> tuple:
+    """W = -log I, Z = dW/dc and Z' = dZ/dc of one-term measures at c, always all three.
 
     ``columns`` holds the ``KernelSample`` columns of ``kind`` and a
     ``log_weight`` (0 where absent), as arrays or scalars; the caller checks c.
@@ -554,20 +528,20 @@ def closed_form_terms(family, kind: str, c: float, columns, order: int = 2) -> t
         with np.errstate(divide="ignore"):
             w = -np.log(family.density(c, x))
         # an atom below the support has W = inf; its score is read at the bound
-        z = -np.asarray(family.log_density_grad(c, np.maximum(x, lower))) if order else None
-        dz = np.full(np.shape(w), -family.log_density_hess(c)) if order > 1 else None
+        z = -np.asarray(family.log_density_grad(c, np.maximum(x, lower)))
+        dz = np.full(np.shape(w), -family.log_density_hess(c))
     elif kind == "gamma":
         shape, rate, shift = columns["shape"], columns["rate"], columns["shift"]
         w = -log_w - math.log(c) + c * shift + shape * np.log1p(c / rate)
-        z = shift + shape / (rate + c) - 1.0 / c if order else None
-        dz = 1.0 / (c * c) - shape / (rate + c) ** 2 if order > 1 else None
+        z = shift + shape / (rate + c) - 1.0 / c
+        dz = 1.0 / (c * c) - shape / (rate + c) ** 2
     else:
         mean = columns["mean"]
         s2 = family.sigma1**2 + columns["sd"] ** 2
         w = -log_w + 0.5 * np.log(2.0 * math.pi * s2) + (mean - c) ** 2 / (2.0 * s2)
-        z = (c - mean) / s2 if order else None
-        dz = 1.0 / s2 if order > 1 else None
-    return (w, z, dz)[:order + 1]
+        z = (c - mean) / s2
+        dz = 1.0 / s2
+    return w, z, dz
 
 
 def _split_at(lo: np.ndarray, hi: np.ndarray, knots: np.ndarray, width: float):
@@ -638,13 +612,15 @@ class PanelRule:
     node statistic t (see ``models``). A ``KernelSample`` of closed-form
     terms hands over its columns as they are.
 
-    ``losses(c)`` returns W = -log I(c), Z = dW/dc and Z' = dZ/dc of every
-    measure. A measure of one closed-form term reads them off that term. Any
-    other sums I, I' and I'' over its terms, which ``integrals(c)``,
-    ``integrals_with_grad(c)`` and ``integrals_with_hess(c)`` return: a
-    term of ``closed_form_terms`` adds e^-W, -Z e^-W and (Z^2 - Z') e^-W, an
-    atom or a panel node its density times 1, the score and score^2 +
-    score', a tail or a ramp its value and exact parameter derivatives.
+    Every evaluation computes all three terms. ``losses(c)`` returns W =
+    -log I(c), Z = dW/dc and Z' = dZ/dc of every measure. A measure of one
+    closed-form term reads them off that term. Any other sums I, I' and I''
+    over its terms; ``integrals_with_hess(c)`` returns the three sums of
+    every measure, ``integrals_with_grad(c)`` the first two and
+    ``integrals(c)`` the first. A term of ``closed_form_terms`` adds e^-W,
+    -Z e^-W and (Z^2 - Z') e^-W, an atom or a panel node its density times
+    1, the score and score^2 + score', a tail or a ramp its value and exact
+    parameter derivatives.
     Atoms read the family's scalar density and score; all panel nodes share
     one ``exp`` of the family's node log density at their t, and their
     scores are the node score at t.
@@ -781,22 +757,22 @@ class PanelRule:
         """Number of quadrature panels currently compiled."""
         return len(self._panels.lo)
 
-    def losses(self, c: float, order: int = 2) -> tuple:
-        """W = -log I(c) of every measure and its first ``order`` derivatives, in sample order."""
+    def losses(self, c: float) -> tuple:
+        """W = -log I(c), Z = dW/dc and Z' = dZ/dc of every measure, in sample order."""
         self.family.check_param(c)
-        parts = [(slots, closed_form_terms(self.family, kind, c, columns, order))
+        parts = [(slots, closed_form_terms(self.family, kind, c, columns))
                  for kind, columns, slots in self._direct]
         if self._linear.size:
-            values, *derivs = (s[self._linear] for s in self._sums(c, order, self._mixed))
+            values, grad, hess = (s[self._linear] for s in self._sums(c, self._mixed))
             with np.errstate(divide="ignore", invalid="ignore"):
-                z = -derivs[0] / values if order else None
-                dz = z * z - derivs[1] / values if order > 1 else None
+                z = -grad / values
+                dz = z * z - hess / values
                 w = -np.log(np.maximum(values, 0.0))
-            parts.append((self._linear, (w, z, dz)[:order + 1]))
+            parts.append((self._linear, (w, z, dz)))
         if len(parts) == 1:  # one part holds every measure, in slot order
             out = parts[0][1]
         else:
-            out = [np.empty(self._n_slots) for _ in range(order + 1)]
+            out = [np.empty(self._n_slots) for _ in range(3)]
             for slots, terms in parts:
                 for values, term in zip(out, terms):
                     values[slots] = term
@@ -804,55 +780,50 @@ class PanelRule:
 
     def integrals(self, c: float) -> np.ndarray:
         """Integral of the family density against each measure, in sample order."""
-        return self._integrals(c, 0)[0]
+        return self.integrals_with_hess(c)[0]
 
     def integrals_with_grad(self, c: float) -> tuple[np.ndarray, np.ndarray]:
         """Integrals and their exact derivatives in c, in sample order."""
-        return self._integrals(c, 1)
+        return self.integrals_with_hess(c)[:2]
 
     def integrals_with_hess(self, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Integrals with their exact first and second derivatives in c, in sample order."""
-        return self._integrals(c, 2)
-
-    def _integrals(self, c: float, order: int) -> tuple:
         self.family.check_param(c)
-        sums = self._sums(c, order, self._mixed + self._direct)
+        sums = self._sums(c, self._mixed + self._direct)
         return tuple(values[self._slot_of] for values in sums)
 
-    def _sums(self, c: float, order: int, groups) -> list:
-        """Per-slot I and its first ``order`` derivatives from the panel terms and ``groups``."""
-        parts = [self._panel_terms(c, order)]
-        parts += [self._term_sums(c, order, kind, columns) for kind, columns, _ in groups]
+    def _sums(self, c: float, groups) -> list:
+        """Per-slot I, I' and I'' from the panel terms and ``groups``."""
+        parts = [self._panel_terms(c)]
+        parts += [self._term_sums(c, kind, columns) for kind, columns, _ in groups]
         owners = np.concatenate([self._owner, *(slots for _, _, slots in groups)])
         return [np.bincount(owners, np.concatenate(terms), minlength=self._n_slots)
                 for terms in zip(*parts)]
 
-    def _term_sums(self, c: float, order: int, kind: str, columns) -> list:
-        """I and its first ``order`` derivatives of closed-form terms of one kind."""
+    def _term_sums(self, c: float, kind: str, columns) -> list:
+        """I, I' and I'' of closed-form terms of one kind."""
         family = self.family
         if kind == "dirac":  # atoms add the density, times the score and score^2 + score'
             x = columns["location"]
             dens = family.density(c, x)
-            if not order:
-                return [dens]
             # atoms below the support carry zero density; their score is read at the bound
             score = family.log_density_grad(c, np.maximum(x, family.support_lower))
             grad = dens * score
-            return [dens, grad, grad * score + dens * family.log_density_hess(c)][:order + 1]
+            return [dens, grad, grad * score + dens * family.log_density_hess(c)]
         if kind == "tail":  # height times the survival at the lower bound
-            fns = (family.survival, family.survival_grad, family.survival_hess)[:order + 1]
+            fns = (family.survival, family.survival_grad, family.survival_hess)
             return [columns["height"] * fn(c, columns["lower"]) for fn in fns]
         if kind == "ramp":  # Phi((c - mean) / s)
             s = columns["s"]
             z = (c - columns["mean"]) / s
             pdf = np.exp(-0.5 * z * z) / (_SQRT_2PI * s)
-            return [special.ndtr(z), pdf, -z * pdf / s][:order + 1]
+            return [special.ndtr(z), pdf, -z * pdf / s]
         w, z, dz = closed_form_terms(family, kind, c, columns)
         values = np.exp(-w)
-        return [values, -z * values, (z * z - dz) * values][:order + 1]
+        return [values, -z * values, (z * z - dz) * values]
 
-    def _panel_terms(self, c: float, order: int) -> list:
-        """I and its first ``order`` derivatives of the panel components, cut at c's peak."""
+    def _panel_terms(self, c: float) -> list:
+        """I, I' and I'' of the panel components, cut at c's peak."""
         family, quad = self.family, self.quad
         panels = self._cut_at_peak(c, self._panels)
         # the node density over e^h, which the weights carry
@@ -870,16 +841,12 @@ class PanelRule:
         if failing.any():
             panels, totals = self._refine(c, panels, np.flatnonzero(failing), totals, high, err)
             self._panels = panels
-            if order:  # the nodes of the refined panels
-                dens = np.exp(family.node_log_density(c, panels.stat))
-        terms = [totals]
-        if order:
-            n = panels.w_high.size
-            dens, score = dens[:n], family.node_score(c, panels.stat[:n])
-            grad = dens * score
-            terms.append(panels.high_sums(grad))
-        if order > 1:
-            terms.append(panels.high_sums(grad * score + dens * family.log_density_hess(c)))
+            dens = np.exp(family.node_log_density(c, panels.stat))  # at the refined nodes
+        n = panels.w_high.size
+        dens, score = dens[:n], family.node_score(c, panels.stat[:n])
+        grad = dens * score
+        terms = [totals, panels.high_sums(grad),
+                 panels.high_sums(grad * score + dens * family.log_density_hess(c))]
         return [self._scale * values for values in terms]
 
     def _cut_at_peak(self, c: float, panels: _Panels) -> _Panels:

@@ -139,10 +139,22 @@ class NormalLocation:
 class _RateFamily:
     """The exponential and Pareto families' shared density c e^(-c t) in the statistic t.
 
-    They differ in t(x) and in the scalar oracle methods, kept per class.
+    They differ in t(x) and in the scalar oracle methods, kept per class. The
+    survival is S = e^(-c t), so its parameter derivatives are S' = -t S and
+    S'' = t^2 S, with t from ``node_form`` (0 below the support, where S = 1)
+    and S from the class's own ``survival``.
     """
 
     param_bounds = (0.0, math.inf)
+
+    def survival_grad(self, c, x):
+        """Derivative of the survival function in the parameter: -t S."""
+        return _maybe_float(x, -self.node_form(x)[0] * self.survival(c, x))
+
+    def survival_hess(self, c, x):
+        """Second derivative of the survival function in the parameter: t^2 S."""
+        t = self.node_form(x)[0]
+        return _maybe_float(x, t * t * self.survival(c, x))
 
     def log_density_hess(self, c) -> float:
         """Derivative of the score in the parameter."""
@@ -190,16 +202,6 @@ class ExponentialRate(_RateFamily):
         self.check_param(c)
         xs = np.asarray(x, dtype=float)
         return _maybe_float(x, np.where(xs >= 0, np.exp(-c * np.maximum(xs, 0.0)), 1.0))
-
-    def survival_grad(self, c, x):
-        self.check_param(c)
-        xs = np.maximum(np.asarray(x, dtype=float), 0.0)
-        return _maybe_float(x, -xs * np.exp(-c * xs))
-
-    def survival_hess(self, c, x):
-        self.check_param(c)
-        xs = np.maximum(np.asarray(x, dtype=float), 0.0)
-        return _maybe_float(x, xs * xs * np.exp(-c * xs))
 
     def log_density_grad(self, c, x):
         self.check_param(c)
@@ -253,17 +255,6 @@ class ParetoTail(_RateFamily):
         xs = np.asarray(x, dtype=float)
         safe = np.maximum(xs, self.x0)
         return _maybe_float(x, np.where(xs >= self.x0, (safe / self.x0) ** (-c), 1.0))
-
-    def survival_grad(self, c, x):
-        self.check_param(c)
-        ratio = np.maximum(np.asarray(x, dtype=float), self.x0) / self.x0
-        return _maybe_float(x, -np.log(ratio) * ratio ** (-c))
-
-    def survival_hess(self, c, x):
-        self.check_param(c)
-        ratio = np.maximum(np.asarray(x, dtype=float), self.x0) / self.x0
-        log_ratio = np.log(ratio)
-        return _maybe_float(x, log_ratio * log_ratio * ratio ** (-c))
 
     def log_density_grad(self, c, x):
         self.check_param(c)

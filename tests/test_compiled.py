@@ -70,6 +70,23 @@ def test_atoms_and_constant_tails_are_exact():
         assert rule.integrals(c).tolist() == pytest.approx(oracle, rel=1e-15, abs=0)
 
 
+@pytest.mark.parametrize("family, atom, components", [
+    (ParetoTail(1.0), DiracAtom(0.5), (ConstantTail(2.0, 1.0),)),
+    (ExponentialRate(), DiracAtom(-1.0), (ConstantTail(2.0, 0.5),)),
+    (ParetoTail(1.0), DiracAtom(0.5), (WeightedDensity(1.0, GammaKernel(3.0, 2.0, 1.0)),)),
+])
+def test_an_atom_below_the_support_leaves_a_mixed_measure_unchanged(family, atom, components):
+    # the atom adds zero density times a score read at the support bound;
+    # at exp c = 1e3 the tail's I is 0, so Z is NaN with or without the atom
+    with_atom = PanelRule(family, [RandomMeasure((atom, *components))])
+    without = PanelRule(family, [RandomMeasure(components)])
+    for c in (1e-3, 0.7, 3.0, 1e3):
+        got = with_atom.integrals_with_hess(c) + with_atom.losses(c)
+        want = without.integrals_with_hess(c) + without.losses(c)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w, err_msg=f"c = {c!r}")
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     variant=st.sampled_from(["A", "B"]),

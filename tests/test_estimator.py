@@ -199,6 +199,21 @@ def test_fit_zroot_expands_bracket(exp_family):
     assert res.estimate == pytest.approx(0.5, abs=1e-9)
 
 
+@pytest.mark.parametrize("family, atoms, bracket, mle", [
+    (ExponentialRate(), [5.0, 6.0, 7.0], (50.0, 90.0), 1.0 / 6.0),
+    (ParetoTail(1.0), [50.0, 100.0], (50.0, 90.0), 2.0 / (math.log(50.0) + math.log(100.0))),
+    (NormalLocation(1.0), [20.0, 21.0], (-5.0, 5.0), 20.5),
+])
+def test_fit_zroot_grows_past_an_end_where_the_loss_underflows(family, atoms, bracket, mle):
+    # growing the bracket reaches an end where the loss underflows (c = 720,
+    # or c = -45 for the normal): that end lies beyond the root and stops
+    # there, while the other end grows on to the sign change
+    sample = [make_dirac(x) for x in atoms]
+    res = fit(family, sample, OptimizerConfig(bracket=bracket), method="zroot")
+    assert res.converged
+    assert res.estimate == pytest.approx(mle, rel=1e-12)
+
+
 def _claims_bridge_sample(seed):
     records = synthesize_claims(837, 1.5, 1.0, 1.4938, 0.1, seed=seed)
     return build_bridge_sample(records, 69, 0.5, "A")

@@ -48,13 +48,6 @@ def test_measure_needs_components():
         RandomMeasure(())
 
 
-def test_declared_support_lower_enforced():
-    with pytest.raises(ValueError):
-        RandomMeasure((DiracAtom(1.0),), support_lower=2.0)
-    measure = RandomMeasure((DiracAtom(1.0), ConstantTail(3.0, 1.0)))
-    assert measure.support_lower == 1.0
-
-
 def test_make_dirac(exp_family):
     measure = make_dirac(2.0)
     assert measure.components == (DiracAtom(2.0),)
