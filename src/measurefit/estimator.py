@@ -146,15 +146,16 @@ def generalized_loglik(family, c: float, sample: Sample,
 
 
 def _measures(sample: Sample) -> Sample:
-    """The sample as an evaluator takes it: a KernelSample as is, anything else as a list."""
-    return sample if isinstance(sample, KernelSample) else list(sample)
+    """The sample as an evaluator takes it: a KernelSample or a resample as is, else a list."""
+    return sample if isinstance(sample, (KernelSample, _Resample)) else list(sample)
 
 
 class _SampleEvaluator:
     """Per-measure W, Z and Z' of one sample, read off its compiled ``PanelRule``.
 
     The rule is compiled on the first evaluation: an evaluator never asked
-    reads nothing. Every evaluation reads all three; ``w_values`` returns W
+    reads nothing. A ``_Resample`` takes its rule from its base evaluator's
+    instead. Every evaluation reads all three; ``w_values`` returns W
     and never raises, ``terms`` and ``z_values`` raise ``FitError`` where a
     W is not finite. ``calls`` counts the sums ``point`` and ``loss`` give the solver.
     """
@@ -169,24 +170,26 @@ class _SampleEvaluator:
 
     def _build_profile(self) -> PanelRule:
         """Compile the sample's rule (the benchmark tracer times this call by its name)."""
+        if isinstance(self.measures, _Resample):
+            return self.measures.base.rule().take(self.measures.indices)
         return PanelRule(self.family, self.measures, self.quad)
 
-    def _losses(self, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """W, Z and Z' of every measure at c, from the rule compiled on first use."""
+    def rule(self) -> PanelRule:
+        """The sample's rule, built on first use."""
         if self._rule is None:
             self._rule = self._build_profile()
-        return self._rule.losses(c)
+        return self._rule
 
     def w_values(self, c: float) -> np.ndarray:
         """W of every measure at c; +inf where the integral vanishes."""
-        return self._losses(c)[0]
+        return self.rule().losses(c)[0]
 
     def z_values(self, c: float) -> np.ndarray:
         return self.terms(c)[1]
 
     def terms(self, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """W, Z and the exact slope Z' of every measure at c; FitError where a W is not finite."""
-        terms = self._losses(c)
+        terms = self.rule().losses(c)
         if not np.isfinite(terms[0]).all():
             raise FitError(f"loss is not finite at c = {c}; gradient undefined")
         return terms
@@ -205,6 +208,17 @@ class _SampleEvaluator:
         """Sum of W at c, +inf where the loss is not finite."""
         self.calls += 1
         return float(self.w_values(c).sum())
+
+
+@dataclass(frozen=True)
+class _Resample:
+    """A bootstrap resample: the measures of ``base``'s sample at ``indices``."""
+
+    base: _SampleEvaluator
+    indices: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.indices)
 
 
 # ---------------------------------------------------------------------------
@@ -369,32 +383,38 @@ def _expand(evaluator: _SampleEvaluator, pa: _Point, pb: _Point, family, max_exp
     )
 
 
-def fit(family, sample: Sample, config: OptimizerConfig = DEFAULT_CONFIG,
-        quad: QuadratureSpec = DEFAULT_QUAD, method: str = "minimize",
-        compute_sandwich: bool = True) -> FitResult:
-    """Estimate the parameter from a sample of random measures.
+def _warm_bracket(evaluator: _SampleEvaluator, start: float, a: float, b: float,
+                  positive: bool):
+    """A bracket of the summed score's sign change found from a pilot inside (a, b).
 
-    Both methods solve the summed estimating equation sum Z = 0 by
-    safeguarded Newton with the exact slope sum Z', inside a bracket across
-    which sum Z changes sign. The bracket comes from the clipped search
-    bracket, whose ends move in where the loss is not finite. Where that
-    finds no finite point or no sign change, ``method="minimize"`` sweeps the
-    summed loss for its best grid point and brackets the score around it; an
-    optimum at the end of the search bracket is returned as that end.
-    ``method="zroot"`` instead grows the bracket geometrically toward the
-    domain boundary, starting from the finite valley of the loss where the
-    score is undefined. The two agree at interior optima.
+    Steps from the pilot by its Newton step, doubling the step from each
+    new point until sum Z changes sign: the bracketing stage of the
+    safeguarded Newton in Press et al., *Numerical Recipes*, 3rd ed., 9.4.
+    Returns the bracket as ``(a, pa, b, pb)``, or None where a point is not
+    finite, the step is undefined or it reaches an end of (a, b).
     """
-    if method not in ("minimize", "zroot"):
-        raise ValueError(f"unknown fit method {method!r}")
-    measures = _measures(sample)
-    if not measures:
-        raise ValueError("sample must contain at least one measure")
-    evaluator = _SampleEvaluator(family, measures, quad)
-    a, b = _clip_bracket(family, config.bracket or family.default_bracket())
-    positive = family.param_bounds[0] >= 0
+    p = evaluator.point(start)
+    if p is None:
+        return None
+    if p.z == 0.0:
+        return p.c, p, p.c, p
+    step = _step(p, positive)
+    for _ in range(60):  # as many doublings as _expand's growths
+        c = p.c + step
+        if not (math.isfinite(c) and a < c < b):
+            return None
+        q = evaluator.point(c)
+        if q is None:
+            return None
+        if q.z == 0.0 or math.copysign(1.0, q.z) != math.copysign(1.0, p.z):
+            return (p.c, p, c, q) if step > 0 else (c, q, p.c, p)
+        p, step = q, 2.0 * step
+    return None
 
-    ordered = method == "minimize"
+
+def _cold_solve(evaluator: _SampleEvaluator, family, a: float, b: float, positive: bool,
+                config: OptimizerConfig, ordered: bool):
+    """``_newton`` from the ends of the search bracket, with the fallbacks ``fit`` describes."""
     pa, pb = evaluator.point(a), evaluator.point(b)
     solved = _newton(evaluator, a, pa, b, pb, positive, config, ordered)
     if solved is None and ordered:
@@ -418,6 +438,48 @@ def fit(family, sample: Sample, config: OptimizerConfig = DEFAULT_CONFIG,
                              positive, config, ordered)
             if solved is None:
                 raise FitError("no finite root inside the grown bracket")
+    return solved
+
+
+def fit(family, sample: Sample, config: OptimizerConfig = DEFAULT_CONFIG,
+        quad: QuadratureSpec = DEFAULT_QUAD, method: str = "minimize",
+        compute_sandwich: bool = True, *, start: float | None = None) -> FitResult:
+    """Estimate the parameter from a sample of random measures.
+
+    Both methods solve the summed estimating equation sum Z = 0 by
+    safeguarded Newton with the exact slope sum Z', inside a bracket across
+    which sum Z changes sign. The bracket comes from the clipped search
+    bracket, whose ends move in where the loss is not finite. Where that
+    finds no finite point or no sign change, ``method="minimize"`` sweeps the
+    summed loss for its best grid point and brackets the score around it; an
+    optimum at the end of the search bracket is returned as that end.
+    ``method="zroot"`` instead grows the bracket geometrically toward the
+    domain boundary, starting from the finite valley of the loss where the
+    score is undefined. The two agree at interior optima.
+
+    A pilot ``start`` strictly inside the clipped search bracket is tried
+    first: Newton steps from it, doubled until sum Z changes sign, give the
+    bracket (``_warm_bracket``). Where they find no finite point or reach
+    an end of the search bracket, or Newton finds no root in their bracket,
+    the fit runs as without a pilot, so the bracket ends stay the walls and
+    a pilot moves an estimate only by its rounding.
+    """
+    if method not in ("minimize", "zroot"):
+        raise ValueError(f"unknown fit method {method!r}")
+    measures = _measures(sample)
+    if not measures:
+        raise ValueError("sample must contain at least one measure")
+    evaluator = _SampleEvaluator(family, measures, quad)
+    a, b = _clip_bracket(family, config.bracket or family.default_bracket())
+    positive = family.param_bounds[0] >= 0
+    ordered = method == "minimize"
+    solved = None
+    if start is not None and a < start < b:
+        bracket = _warm_bracket(evaluator, start, a, b, positive)
+        if bracket is not None:
+            solved = _newton(evaluator, *bracket, positive, config, ordered)
+    if solved is None:
+        solved = _cold_solve(evaluator, family, a, b, positive, config, ordered)
     point, converged = solved
     if not converged:
         raise FitError(f"{method} did not converge within {config.max_iter} iterations")
@@ -476,22 +538,25 @@ def bootstrap_se(family, sample: Sample, replicates: int, seed: int,
     """Resampling standard error and percentile interval for the fit.
 
     Deterministic given the seed. A single replicate reports no spread;
-    more than 10 percent refit failures aborts. A ``KernelSample`` is
-    resampled with ``KernelSample.take``, so each refit reads columns.
+    more than 10 percent refit failures aborts.
+
+    The sample is compiled once, into a ``PanelRule`` that the first refit's
+    first evaluation builds, and each refit takes its resample's rule from
+    it with ``PanelRule.take``, which gives the values of a fresh compile.
+    Every refit after the first success starts from that success's estimate
+    (``fit``'s ``start``), which moves an estimate by its rounding only.
     """
     if replicates < 1:
         raise ValueError("need at least one bootstrap replicate")
-    measures = _measures(sample)
-    n = len(measures)
+    base = _SampleEvaluator(family, _measures(sample), quad)
     rng = np.random.default_rng(seed)
     estimates = []
     reasons: Counter[str] = Counter()
     for _ in range(replicates):
-        idx = rng.integers(0, n, size=n)
-        resample = (measures.take(idx) if isinstance(measures, KernelSample)
-                    else [measures[i] for i in idx])
+        resample = _Resample(base, rng.integers(0, base.n, size=base.n))
         try:
-            res = fit(family, resample, config, quad, method, compute_sandwich=False)
+            res = fit(family, resample, config, quad, method, compute_sandwich=False,
+                      start=estimates[0] if estimates else None)
             estimates.append(res.estimate)
         except (FitError, ValueError, RuntimeError) as exc:
             reasons[failure_reason(exc)] += 1

@@ -324,8 +324,7 @@ class KernelSample(Sequence):
 
     Scalar columns broadcast to the sample length. The measures are built
     once, on construction, by the validating constructors, so an invalid
-    value raises their ``ValueError`` and iteration costs nothing;
-    ``take`` resamples both without building or checking anything again. A
+    value raises their ``ValueError`` and iteration costs nothing. A
     ``PanelRule`` takes the columns as its closed-form terms rather than
     inspecting the measures. Two samples are equal when their measures are.
     """
@@ -359,27 +358,9 @@ class KernelSample(Sequence):
         else:
             measures = tuple(RandomMeasure((WeightedDensity(1.0, NormalKernel(u, sd)),))
                              for u, sd in rows)
-        self._fill(kind, frozen, measures)
-
-    def _fill(self, kind: str, columns: dict, measures: tuple) -> None:
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "columns", MappingProxyType(columns))
+        object.__setattr__(self, "columns", MappingProxyType(frozen))
         object.__setattr__(self, "_measures", measures)
-
-    def take(self, indices) -> KernelSample:
-        """The sample of the measures at ``indices``, in that order (a bootstrap resample).
-
-        Its columns and measures are this sample's, already validated, so
-        nothing is checked or built again.
-        """
-        idx = np.asarray(indices, dtype=np.intp)
-        columns = {}
-        for name, values in self.columns.items():
-            columns[name] = values[idx]
-            columns[name].flags.writeable = False
-        taken = object.__new__(type(self))
-        taken._fill(self.kind, columns, tuple(self._measures[i] for i in idx.tolist()))
-        return taken
 
     def __setattr__(self, name, value):
         raise AttributeError("KernelSample is immutable")
@@ -601,7 +582,7 @@ class PanelRule:
     """The measures of one sample compiled for evaluation at many c.
 
     Within a fit the measures do not depend on the parameter, only the family
-    density does. So each distinct measure is compiled once into terms of two
+    density does. So each measure is compiled once into terms of two
     kinds. Closed-form terms are the kinds of ``closed_form_terms``, plus
     ``"tail"`` (a constant tail or ramp cut, height times the family's
     survival at ``lower``) and ``"ramp"`` (a normal ramp under the normal
@@ -638,6 +619,10 @@ class PanelRule:
     spacing before the check, since Gauss nodes straddling a narrow peak
     agree on a wrong value. The cut panels serve that c only; a refinement
     at c is made from them, so the panels the rule keeps include the cut.
+
+    ``take(indices)`` is the rule of a resample of the sample, built from
+    this rule's closed-form columns and panels rather than compiled again;
+    a bootstrap refit reads its rule this way.
     """
 
     # the columns of each closed-form term kind
@@ -652,18 +637,11 @@ class PanelRule:
         direct = {kind: [] for kind in KernelSample._FIELDS}  # measures of one closed-form term
         mixed = {kind: [] for kind in self._TERMS}  # closed-form terms of other measures
         linear: list[int] = []
+        self._slot_of, self._n_slots = _EVERY, len(measures)
         if isinstance(measures, KernelSample) and self._covers(measures):
-            self._slot_of, self._n_slots = _EVERY, len(measures)
             self._direct = [(measures.kind, measures.columns, np.arange(len(measures)))]
         else:
-            # a measure repeated in the sample (a bootstrap resample) is compiled once
-            unique = {id(m): m for m in measures}
-            self._slot_of = _EVERY
-            if len(unique) < len(measures):
-                slots = {key: slot for slot, key in enumerate(unique)}
-                self._slot_of = np.array([slots[id(m)] for m in measures], dtype=np.intp)
-            self._n_slots = len(unique)
-            for slot, measure in enumerate(unique.values()):
+            for slot, measure in enumerate(measures):
                 components = measure.components
                 if len(components) == 1 and (term := self._closed_form(components[0], slot)):
                     direct[term[0]].append(term[1])
@@ -679,6 +657,47 @@ class PanelRule:
         self._owner = np.array([slot for slot, _, _, _ in comps], dtype=np.intp)
         self._panels = _Panels.pack([self._component_rule(g, k[:-1], k[1:])
                                      for _, _, g, k in comps])
+
+    def take(self, indices) -> PanelRule:
+        """The rule of the resample ``[measures[i] for i in indices]``, without compiling it.
+
+        The resample's measures are compiled already: the new rule keeps the
+        closed-form terms and the panels, weight functions, knots and scales
+        of each measure drawn at least once, in this rule's order, and maps
+        each index to its measure. Every value of a measure is computed from
+        that measure's terms alone, so taken from a rule not yet evaluated,
+        the values are bit-identical to those of ``PanelRule(family,
+        resample)``. Panels this rule refined are taken as they are, which
+        keeps the values within the quadrature tolerance.
+        """
+        drawn = np.asarray(indices, dtype=np.intp)
+        if self._slot_of is not _EVERY:
+            drawn = self._slot_of[drawn]
+        keep = np.zeros(self._n_slots, dtype=bool)
+        keep[drawn] = True
+        new_slot = np.cumsum(keep) - 1  # the slot of each kept measure in the new rule
+
+        def groups(old):
+            out = []
+            for kind, columns, slots in old:
+                rows = keep[slots]
+                if rows.any():
+                    out.append((kind, {f: v[rows] for f, v in columns.items()},
+                                new_slot[slots[rows]]))
+            return out
+
+        kept = keep[self._owner]  # the components of kept measures
+        rule = object.__new__(PanelRule)
+        rule.family, rule.quad = self.family, self.quad
+        rule._slot_of, rule._n_slots = new_slot[drawn], int(keep.sum())
+        rule._direct, rule._mixed = groups(self._direct), groups(self._mixed)
+        rule._linear = new_slot[self._linear[keep[self._linear]]]
+        rule._scale = self._scale[kept]
+        rule._weight_fns = [g for g, k in zip(self._weight_fns, kept) if k]
+        rule._knots = [x for x, k in zip(self._knots, kept) if k]
+        rule._owner = new_slot[self._owner[kept]]
+        rule._panels = _Panels.pack([r for r, k in zip(self._panels.rules(), kept) if k])
+        return rule
 
     def _covers(self, sample: KernelSample) -> bool:
         """Whether every measure of the sample is one closed-form term under the family."""
@@ -811,8 +830,7 @@ class PanelRule:
             grad = dens * score
             return [dens, grad, grad * score + dens * family.log_density_hess(c)]
         if kind == "tail":  # height times the survival at the lower bound
-            fns = (family.survival, family.survival_grad, family.survival_hess)
-            return [columns["height"] * fn(c, columns["lower"]) for fn in fns]
+            return [columns["height"] * v for v in family.survival_terms(c, columns["lower"])]
         if kind == "ramp":  # Phi((c - mean) / s)
             s = columns["s"]
             z = (c - columns["mean"]) / s

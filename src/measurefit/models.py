@@ -1,11 +1,11 @@
 """One-parameter density families used by the fitting layer.
 
-Each family exposes a density, CDF, survival function, the first and
-second parameter derivatives of the survival function and the parameter
-score of the log density, all vectorized over the observation argument,
-plus the score's parameter derivative, which for these families does not
-depend on the observation, and the knots that resolve the density's peak.
-Survival functions are analytic so improper tail components integrate
+Each family exposes a density, CDF, survival function, the survival function
+with its first and second parameter derivatives (``survival_terms``) and the
+parameter score of the log density, all vectorized over the observation
+argument, plus the score's parameter derivative, which for these families
+does not depend on the observation, and the knots that resolve the density's
+peak. Survival functions are analytic so improper tail components integrate
 exactly, and parameter-domain violations raise instead of clamping (the
 optimizers rely on hard domain walls).
 
@@ -89,14 +89,14 @@ class NormalLocation:
         self.check_param(c)
         return _maybe_float(x, special.ndtr((c - np.asarray(x, dtype=float)) / self.sigma1))
 
-    def survival_grad(self, c, x):
-        """Derivative of the survival function in the parameter."""
-        return self.density(c, x)
+    def survival_terms(self, c, x):
+        """The survival S at x with its parameter derivatives S' = f and S'' = (x - c) f / s^2.
 
-    def survival_hess(self, c, x):
-        """Second derivative of the survival function in the parameter."""
+        f is the density at x and s is sigma1; one density call serves both.
+        """
         xs = np.asarray(x, dtype=float)
-        return _maybe_float(x, (xs - c) / self.sigma1**2 * self.density(c, xs))
+        dens = self.density(c, xs)
+        return self.survival(c, xs), dens, (xs - c) / self.sigma1**2 * dens
 
     def log_density_grad(self, c, x):
         self.check_param(c)
@@ -147,14 +147,11 @@ class _RateFamily:
 
     param_bounds = (0.0, math.inf)
 
-    def survival_grad(self, c, x):
-        """Derivative of the survival function in the parameter: -t S."""
-        return _maybe_float(x, -self.node_form(x)[0] * self.survival(c, x))
-
-    def survival_hess(self, c, x):
-        """Second derivative of the survival function in the parameter: t^2 S."""
-        t = self.node_form(x)[0]
-        return _maybe_float(x, t * t * self.survival(c, x))
+    def survival_terms(self, c, x):
+        """The survival S at x with its parameter derivatives S' = -t S and S'' = t^2 S."""
+        xs = np.asarray(x, dtype=float)
+        surv, t = self.survival(c, xs), self.node_form(xs)[0]
+        return surv, -t * surv, t * t * surv
 
     def log_density_hess(self, c) -> float:
         """Derivative of the score in the parameter."""

@@ -19,6 +19,7 @@ from measurefit import (
     DiracAtom,
     ExponentialRate,
     GammaKernel,
+    KernelSample,
     NormalKernel,
     NormalLocation,
     ParetoTail,
@@ -39,6 +40,11 @@ from measurefit import measure
 from measurefit.estimator import FitError, _SampleEvaluator
 from measurefit.measure import PanelRule
 from measurefit.quadrature import DEFAULT_QUAD, QuadratureError
+from measurefit.tailstudy import build_bridge_sample, synthesize_claims
+
+
+def hexes(*values):
+    return [float(v).hex() for v in values]
 
 
 def assert_matches_oracle(family, measures, cs, quad=DEFAULT_QUAD, rule=None):
@@ -162,14 +168,60 @@ def test_normal_location_ramps_are_exact():
     assert np.isfinite(evaluator.z_values(-10.0)).all()
 
 
-def test_repeated_measures_are_compiled_once():
-    family = ParetoTail(x0=1.0)
-    bridge = make_gamma_bridge(2.0, 3.0, 0.5)
-    single = PanelRule(family, [bridge, make_dirac(1.5)])
-    repeated = PanelRule(family, [bridge, make_dirac(1.5), bridge, bridge])
-    assert repeated.panels == single.panels
-    values = repeated.integrals(1.2)
-    assert values[0] == values[2] == values[3] == single.integrals(1.2)[0]
+_CLAIMS = synthesize_claims(200, 1.5, 1.0, 1.4938, 0.1, seed=7)
+
+
+_CLAIMS_C = (1e-3, 0.075, 1.5, 8.66, 1e3)
+_NORMAL_C = (-40.0, -6.0, -2.0, 0.4, 3.0, 40.0)
+_REFINED_BRIDGES = [make_gamma_bridge(w, w * z, 100.0, "A")
+                    for w, z in [(1.1, 1.0), (1.6, 2.5), (3.0, 1.3), (9.0, 4.0), (25.0, 1.05)]]
+_GAMMA_COLUMNS = dict(shape=[0.5, 2.0, 30.0, 4.0], rate=[1.0, 3.0, 20.0, 0.5],
+                      shift=[0.0, 1.5, 0.2, 2.0])
+
+
+@pytest.mark.parametrize("family, measures, cs, refines", [
+    *[(*build_bridge_sample(_CLAIMS, 20, s2, v), _CLAIMS_C, False)
+      for v in "AB" for s2 in (1e-8, 1e-4, 1.0, 1e4, 1e8)],
+    (ParetoTail(1.0), _REFINED_BRIDGES, _CLAIMS_C, True),
+    (NormalLocation(1.0), [make_measurement_uncertainty(NormalKernel(u, 0.5), s)
+                           for u, s in [(0.3, 1), (1.2, 0), (-0.4, 0), (2.0, 1)]], _NORMAL_C, False),
+    (NormalLocation(1.42), [
+        RandomMeasure((WeightedDensity(1.0, GammaKernel(0.8566118788090663, 0.2215712558191765,
+                                                         -2.079533241030404)),)),
+        RandomMeasure((CdfRamp(GammaKernel(2.0, 1.0, -1.0)),)),
+        RandomMeasure((WeightedDensity(1.0, NormalKernel(0.0, 1000.0), lower=-3000.0),)),
+        make_measurement_uncertainty(NormalKernel(0.5, 2.0), 0),
+    ], _NORMAL_C, True),
+    (ExponentialRate(), KernelSample("gamma", **_GAMMA_COLUMNS), (1e-3, 0.4, 3.0, 1e3), False),
+    (ParetoTail(1.0), KernelSample("gamma", **_GAMMA_COLUMNS), _CLAIMS_C, False),
+    (NormalLocation(0.7), KernelSample("normal", mean=[0.1, -3.0, 2.5], sd=[0.2, 1.0, 40.0]),
+     _NORMAL_C, False),
+    (ExponentialRate(), KernelSample("normal", mean=[3.0, 8.0], sd=[1.0, 0.5]),
+     (1e-3, 0.4, 3.0), False),
+    (ParetoTail(1.0), KernelSample("dirac", location=[1.5, 0.5, 7.0]), _CLAIMS_C, False),
+    (ParetoTail(1.0), [RandomMeasure((DiracAtom(0.5), ConstantTail(2.0, 1.0))), make_dirac(0.5),
+                       RandomMeasure((DiracAtom(0.5),
+                                      WeightedDensity(1.0, GammaKernel(3.0, 2.0, 1.0))))],
+     _CLAIMS_C, False),
+])
+def test_take_is_bit_identical_to_compiling_the_resample(family, measures, cs, refines):
+    # the resample's rule comes from the base rule's compile-time terms, so it
+    # gives a fresh compile's values bit for bit, also at c where the
+    # resample's panels refine
+    base = PanelRule(family, measures)
+    rng = np.random.default_rng(len(measures))
+    idx = np.append(rng.integers(0, len(measures), size=len(measures) + 2), 0)
+    again = rng.integers(0, len(idx), size=len(idx))
+    pairs = [(base.take(idx), PanelRule(family, [measures[i] for i in idx])),
+             (base.take(idx).take(again), PanelRule(family, [measures[idx[j]] for j in again]))]
+    sizes = [fresh.panels for _, fresh in pairs]
+    for c in cs:
+        for taken, fresh in pairs:
+            for a, b in [(taken.losses(c), fresh.losses(c)),
+                         (taken.integrals_with_hess(c), fresh.integrals_with_hess(c))]:
+                assert [hexes(*v) for v in a] == [hexes(*v) for v in b], f"c = {c!r}"
+    if refines:
+        assert any(fresh.panels > n for (_, fresh), n in zip(pairs, sizes))
 
 
 def test_panels_refined_at_one_c_are_checked_again_at_another():

@@ -310,6 +310,57 @@ def test_minimize_returns_the_bracket_end_at_a_boundary_optimum(exp_family):
     assert fit(exp_family, sample, config, method="zroot").estimate == pytest.approx(2.0)
 
 
+def _exp_censored_sample(seed):
+    # exponential draws, a third of them right-censored at the draw
+    xs = np.random.default_rng(seed).exponential(2.0, size=60)
+    return ExponentialRate(), [make_right_censoring(float(x), int(i % 3 > 0))
+                               for i, x in enumerate(xs)]
+
+
+_PILOT_SAMPLES = [(_exp_censored_sample, 3), (_claims_bridge_sample, 7),
+                  (_normal_ramp_sample, [1, 1])]
+
+
+@pytest.mark.parametrize("build, seed", _PILOT_SAMPLES)
+@pytest.mark.parametrize("method", ["minimize", "zroot"])
+def test_a_fit_from_a_pilot_equals_the_cold_fit(build, seed, method):
+    family, sample = build(seed)
+    cold = fit(family, sample, method=method, compute_sandwich=False)
+    for offset in (-0.4, -1e-3, 1e-3, 0.5, 3.0):
+        warm = fit(family, sample, method=method, compute_sandwich=False,
+                   start=cold.estimate * (1.0 + offset))
+        assert warm.estimate == pytest.approx(cold.estimate, rel=1e-12, abs=0)
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-12, abs=0)
+        if abs(offset) < 0.01:  # a pilot near the answer saves the bracket ends
+            # c * sum Z is linear in c for exponential atoms and tails, so one
+            # Newton step from a cold bracket end is already exact there
+            if build is _exp_censored_sample:
+                assert warm.iterations <= cold.iterations
+            else:
+                assert warm.iterations < cold.iterations
+
+
+@pytest.mark.parametrize("build, seed", _PILOT_SAMPLES)
+def test_a_pilot_at_or_outside_the_bracket_runs_the_cold_fit(build, seed):
+    family, sample = build(seed)
+    config = OptimizerConfig(bracket=(-2.0, 20.0) if family.param_bounds[0] < 0 else (0.1, 20.0))
+    cold = fit(family, sample, config, compute_sandwich=False)
+    for start in (*config.bracket, -50.0, 50.0, math.nan):
+        assert fit(family, sample, config, compute_sandwich=False, start=start) == cold
+
+
+def test_a_pilot_keeps_a_boundary_optimum_at_the_bracket_end(exp_family):
+    # the optimum, rate 2, lies below the bracket; the pilot's Newton step
+    # leaves the bracket, so the fit runs cold and returns the end
+    sample = [make_dirac(x) for x in (0.25, 0.5, 0.75)]
+    config = OptimizerConfig(bracket=(5.0, 10.0))
+    cold = fit(exp_family, sample, config, compute_sandwich=False)
+    warm = fit(exp_family, sample, config, compute_sandwich=False, start=7.0)
+    assert warm.estimate == cold.estimate == 5.0
+    assert warm.objective == cold.objective
+    assert warm.iterations == cold.iterations + 1  # the pilot
+
+
 def test_fit_finds_a_narrow_valley_off_the_bracket_center():
     # the loss is finite only within about 38 of the atoms at 900 and 901,
     # so both ends and the bracket's midpoint underflow and the sweep of the
@@ -444,6 +495,44 @@ def test_bootstrap_exponential_se_matches_classical(exp_family, rng):
     classical = math.sqrt(est**2 / len(xs))
     assert abs(res.standard_error - classical) / classical < 0.25
     assert res.n_failures == 0
+
+
+def test_bootstrap_compiles_the_sample_once_inside_its_first_refit(monkeypatch):
+    events, starts = [], []
+    real_fit = estimator.fit
+
+    def recording_fit(*args, **kwargs):
+        events.append("fit")
+        starts.append(kwargs["start"])
+        result = real_fit(*args, **kwargs)
+        events.append("done")
+        return result
+
+    class CountingRule(PanelRule):
+        def __init__(self, *args, **kwargs):
+            events.append("compile")
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(estimator, "fit", recording_fit)
+    monkeypatch.setattr(estimator, "PanelRule", CountingRule)
+    family, sample = _claims_bridge_sample(7)
+    res = bootstrap_se(family, sample, 4, seed=1, config=OptimizerConfig(bracket=(1e-3, 1e3)))
+    assert events == ["fit", "compile", "done"] + ["fit", "done"] * 3
+    assert starts == [None] + [res.estimates[0]] * 3  # later refits start from the first
+
+
+@pytest.mark.parametrize("build, seed", [(_claims_bridge_sample, 7), (_normal_ramp_sample, [1, 1]),
+                                         (_exp_censored_sample, 3)])
+def test_bootstrap_refits_match_cold_fits_of_the_resamples(build, seed):
+    # every refit after the first starts from the first one's estimate, which
+    # moves it by rounding only
+    family, sample = build(seed)
+    res = bootstrap_se(family, sample, 6, seed=2)
+    rng = np.random.default_rng(2)
+    cold = [fit(family, [sample[i] for i in rng.integers(0, len(sample), size=len(sample))],
+                compute_sandwich=False).estimate for _ in range(6)]
+    assert res.estimates[0] == cold[0]
+    assert res.estimates.tolist() == pytest.approx(cold, rel=1e-12, abs=0)
 
 
 def test_bootstrap_deterministic(exp_family, rng):

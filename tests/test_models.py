@@ -108,18 +108,18 @@ def test_normal_grad_matches_finite_differences(c, x):
     offset=st.floats(-1.0, 12.0),
 )
 def test_second_derivatives_match_differences_of_first(family, c, offset):
-    # survival_hess against central differences of survival_grad, and the
+    # S'' of survival_terms against central differences of its S', and the
     # score derivative against differences of the score, on the family's
     # parameter scale; points below a support edge have constant survival
     if isinstance(family, NormalLocation):
         x, h = c - 6.0 + offset, 1e-5 * family.sigma1
     else:
         x, h = family.support_lower + offset, 1e-5 * c
-    fd = (family.survival_grad(c + h, x) - family.survival_grad(c - h, x)) / (2 * h)
-    hess = family.survival_hess(c, x)
+    fd = (family.survival_terms(c + h, x)[1] - family.survival_terms(c - h, x)[1]) / (2 * h)
+    hess = family.survival_terms(c, x)[2]
     assert hess == pytest.approx(fd, rel=1e-6, abs=1e-9)
     # vectorized numpy exp may differ from the scalar one in the last bit
-    pair = family.survival_hess(c, np.array([x, x])).tolist()
+    pair = family.survival_terms(c, np.array([x, x]))[2].tolist()
     assert pair == pytest.approx([hess, hess], rel=1e-14)
     if offset >= 0:
         fd = (family.log_density_grad(c + h, x) - family.log_density_grad(c - h, x)) / (2 * h)
