@@ -226,9 +226,10 @@ class _Resample:
 
 
 def _clip_bracket(family, bracket: tuple[float, float]) -> tuple[float, float]:
-    lo, hi = family.param_bounds
+    # every family's parameter domain is unbounded above: (0, inf) or (-inf, inf)
+    lo = family.param_bounds[0]
     a = max(bracket[0], lo + 1e-12 * max(1.0, abs(lo))) if math.isfinite(lo) else bracket[0]
-    b = min(bracket[1], hi) if math.isfinite(hi) else bracket[1]
+    b = bracket[1]
     if not a < b:
         raise FitError(f"bracket {bracket} does not intersect the parameter domain")
     return a, b
@@ -352,28 +353,25 @@ def _newton(evaluator: _SampleEvaluator, a: float, pa: _Point | None, b: float, 
     return point, False
 
 
-def _expand(evaluator: _SampleEvaluator, pa: _Point, pb: _Point, family, max_expand: int = 60):
+def _expand(evaluator: _SampleEvaluator, pa: _Point, pb: _Point, positive: bool,
+            max_expand: int = 60):
     """Geometric bracket growth toward the domain boundary until the score changes sign.
 
-    A grown end where the loss is not finite counts as lying beyond the
-    root, as an end of ``_newton``'s bracket does: it stops growing and is
-    returned as None. Returns the bracket as ``(a, pa, b, pb)``.
+    The domain is (0, inf) when ``positive``, else (-inf, inf). A grown end
+    where the loss is not finite counts as lying beyond the root, as an end
+    of ``_newton``'s bracket does: it stops growing and is returned as None.
+    Returns the bracket as ``(a, pa, b, pb)``.
     """
-    dom_lo, dom_hi = family.param_bounds
     a, b = pa.c, pb.c
     for _ in range(max_expand):
         if (-1.0 if pa is None else pa.z) * (1.0 if pb is None else pb.z) <= 0:
             return a, pa, b, pb
         span = b - a
         if pa is not None:
-            a = max(a / 8.0, 1e-300) if dom_lo >= 0.0 else a - span
-            if math.isfinite(dom_lo):
-                a = max(a, dom_lo + 1e-300)
+            a = max(a / 8.0, 1e-300) if positive else a - span
             pa = evaluator.point(a)
         if pb is not None:
-            b = min(b * 8.0, 1e300) if dom_lo >= 0.0 else b + span
-            if math.isfinite(dom_hi):
-                b = min(b, dom_hi)
+            b = min(b * 8.0, 1e300) if positive else b + span
             pb = evaluator.point(b)
         if pa is None and pb is None:
             raise FitError(f"estimating equation is not finite at both ends of ({a:g}, {b:g})")
@@ -412,7 +410,7 @@ def _warm_bracket(evaluator: _SampleEvaluator, start: float, a: float, b: float,
     return None
 
 
-def _cold_solve(evaluator: _SampleEvaluator, family, a: float, b: float, positive: bool,
+def _cold_solve(evaluator: _SampleEvaluator, a: float, b: float, positive: bool,
                 config: OptimizerConfig, ordered: bool):
     """``_newton`` from the ends of the search bracket, with the fallbacks ``fit`` describes."""
     pa, pb = evaluator.point(a), evaluator.point(b)
@@ -434,7 +432,7 @@ def _cold_solve(evaluator: _SampleEvaluator, family, a: float, b: float, positiv
                 raise FitError(f"estimating equation is not finite at both ends of "
                                f"({lo:g}, {hi:g})")
         if solved is None:
-            solved = _newton(evaluator, *_expand(evaluator, pa, pb, family),
+            solved = _newton(evaluator, *_expand(evaluator, pa, pb, positive),
                              positive, config, ordered)
             if solved is None:
                 raise FitError("no finite root inside the grown bracket")
@@ -479,7 +477,7 @@ def fit(family, sample: Sample, config: OptimizerConfig = DEFAULT_CONFIG,
         if bracket is not None:
             solved = _newton(evaluator, *bracket, positive, config, ordered)
     if solved is None:
-        solved = _cold_solve(evaluator, family, a, b, positive, config, ordered)
+        solved = _cold_solve(evaluator, a, b, positive, config, ordered)
     point, converged = solved
     if not converged:
         raise FitError(f"{method} did not converge within {config.max_iter} iterations")

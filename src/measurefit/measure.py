@@ -10,9 +10,11 @@ constructed from these four pieces.
 from __future__ import annotations
 
 import math
+from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass
-from types import MappingProxyType
+from dataclasses import dataclass, fields
+from itertools import repeat
+from types import MappingProxyType, SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +40,23 @@ def _stirling_residual(a: float) -> float:
     return inv / 12.0 - inv**3 / 360.0 + inv**5 / 1260.0
 
 
+def _finite(x):
+    """Whether x is finite, for a float or elementwise for an array; nan is not."""
+    return abs(x) < math.inf
+
+
+def _check(obj) -> None:
+    """Raise the error of the first of ``obj._checks`` that the fields fail.
+
+    Each check is a condition and its error message. The condition reads
+    the fields as attributes, of floats or of whole columns, so a
+    ``KernelSample`` checks its columns by the same conditions.
+    """
+    for ok, message in obj._checks:
+        if not ok(obj):
+            raise ValueError(message)
+
+
 # ---------------------------------------------------------------------------
 # kernels: proper distributions usable inside measure components
 
@@ -47,9 +66,9 @@ class NormalKernel:
     mean: float
     sd: float
 
-    def __post_init__(self) -> None:
-        if not (self.sd > 0 and math.isfinite(self.sd) and math.isfinite(self.mean)):
-            raise ValueError("normal kernel needs finite mean and positive sd")
+    _checks = ((lambda k: (k.sd > 0) & _finite(k.sd) & _finite(k.mean),
+                "normal kernel needs finite mean and positive sd"),)
+    __post_init__ = _check
 
     support_lower = -math.inf
 
@@ -75,11 +94,10 @@ class GammaKernel:
     rate: float
     shift: float = 0.0
 
-    def __post_init__(self) -> None:
-        if not (self.shape > 0 and self.rate > 0):
-            raise ValueError("gamma kernel needs positive shape and rate")
-        if not math.isfinite(self.shift):
-            raise ValueError("gamma kernel shift must be finite")
+    _checks = ((lambda k: (k.shape > 0) & (k.rate > 0),
+                "gamma kernel needs positive shape and rate"),
+               (lambda k: _finite(k.shift), "gamma kernel shift must be finite"))
+    __post_init__ = _check
 
     @property
     def support_lower(self) -> float:
@@ -137,9 +155,8 @@ Kernel = NormalKernel | GammaKernel
 class DiracAtom:
     location: float
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.location):
-            raise ValueError("dirac atom location must be finite")
+    _checks = ((lambda a: _finite(a.location), "dirac atom location must be finite"),)
+    __post_init__ = _check
 
 
 @dataclass(frozen=True)
@@ -310,6 +327,29 @@ def make_gamma_bridge(paid: float, ultimate: float, sigma2: float,
 # samples that carry their columns
 
 
+def _instances(cls, **columns) -> list:
+    """Instances of the frozen dataclass ``cls`` from field values checked already.
+
+    ``columns`` maps each field to a sequence of its values, one per
+    instance. The fields are set as the dataclass's ``__init__`` sets them,
+    a column at a time, but neither it nor ``__post_init__`` runs. The
+    first instance gets all of its fields before the others are made:
+    CPython shares one attribute key table among a class's instances and
+    stops growing it once the class has made many, so an instance made
+    before the table holds every field would carry a dict of its own.
+    """
+    n = len(next(iter(columns.values())))
+    if not n:
+        return []
+    objs = [object.__new__(cls)]
+    for name, values in columns.items():
+        object.__setattr__(objs[0], name, values[0])
+    objs += map(object.__new__, repeat(cls, n - 1))
+    for name, values in columns.items():  # the first instance again, with the same values
+        deque(map(object.__setattr__, objs, repeat(name), values), maxlen=0)
+    return objs
+
+
 class KernelSample(Sequence):
     """A sample of one-component measures that also carries them as columns.
 
@@ -322,42 +362,47 @@ class KernelSample(Sequence):
     - ``"normal"``: ``mean`` and ``sd`` of a unit-weight ``NormalKernel``
       density.
 
-    Scalar columns broadcast to the sample length. The measures are built
-    once, on construction, by the validating constructors, so an invalid
-    value raises their ``ValueError`` and iteration costs nothing. A
-    ``PanelRule`` takes the columns as its closed-form terms rather than
-    inspecting the measures. Two samples are equal when their measures are.
+    Scalar columns broadcast to the sample length. On construction each
+    column is checked once, as a whole, by the conditions the atom's or
+    kernel's constructor checks; where a row fails, that row's constructor
+    is called and raises its ``ValueError``. The measures are then built
+    from the checked columns, with Python float fields, equal to those the
+    constructors build, so iteration costs nothing. A ``PanelRule`` takes
+    the columns as its closed-form terms rather than inspecting the
+    measures. Two samples are equal when their measures are.
     """
 
-    _FIELDS = {"dirac": ("location",), "gamma": ("shape", "rate", "shift"),
-               "normal": ("mean", "sd")}
+    _CLASSES = {"dirac": DiracAtom, "gamma": GammaKernel, "normal": NormalKernel}
+    _FIELDS = {kind: tuple(f.name for f in fields(cls)) for kind, cls in _CLASSES.items()}
 
     __slots__ = ("kind", "columns", "_measures")
 
     def __init__(self, kind: str, **columns) -> None:
-        fields = self._FIELDS.get(kind)
-        if fields is None:
+        cls = self._CLASSES.get(kind)
+        if cls is None:
             raise ValueError(f"unknown sample kind {kind!r}")
-        if set(columns) != set(fields):
-            raise ValueError(f"a {kind} sample needs the columns {', '.join(fields)}")
-        arrays = np.broadcast_arrays(*(np.asarray(columns[f], dtype=float) for f in fields))
+        names = self._FIELDS[kind]
+        if set(columns) != set(names):
+            raise ValueError(f"a {kind} sample needs the columns {', '.join(names)}")
+        arrays = np.broadcast_arrays(*(np.asarray(columns[f], dtype=float) for f in names))
         if arrays[0].ndim != 1:
             raise ValueError("sample columns must be one-dimensional")
         frozen = {}
-        for name, values in zip(fields, arrays):
+        for name, values in zip(names, arrays):
             values = values.copy()
             values.flags.writeable = False
             frozen[name] = values
+        n = len(arrays[0])
+        checked = SimpleNamespace(**frozen)
+        valid = np.logical_and.reduce([ok(checked) for ok, _ in cls._checks])
+        if not valid.all():  # the first invalid row's constructor raises its error
+            row = int(np.argmin(valid))
+            cls(**{name: values[row].item() for name, values in frozen.items()})
         # Python floats, not numpy scalars, inside the measures
-        rows = zip(*(values.tolist() for values in frozen.values()))
-        if kind == "dirac":
-            measures = tuple(RandomMeasure((DiracAtom(x),)) for (x,) in rows)
-        elif kind == "gamma":
-            measures = tuple(RandomMeasure((WeightedDensity(1.0, GammaKernel(a, b, s)),))
-                             for a, b, s in rows)
-        else:
-            measures = tuple(RandomMeasure((WeightedDensity(1.0, NormalKernel(u, sd)),))
-                             for u, sd in rows)
+        comps = _instances(cls, **{name: values.tolist() for name, values in frozen.items()})
+        if kind != "dirac":  # a unit weight and no restriction pass the density's checks
+            comps = _instances(WeightedDensity, weight=[1.0] * n, kernel=comps, lower=[None] * n)
+        measures = tuple(_instances(RandomMeasure, components=list(zip(comps))))
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "columns", MappingProxyType(frozen))
         object.__setattr__(self, "_measures", measures)

@@ -12,11 +12,13 @@ streams, so results are reproducible regardless of execution order.
 
 A solvable scenario's sample is a ``KernelSample``: the draws are kept as
 columns (gamma shapes, rates and shifts, normal means and sds, or atom
-locations) next to the measures built from them. The fit, the sandwich and
-the score at the limit take the columns as their rule's closed-form terms,
-so no replication inspects its measures again; ``verify_m_matrix`` scores
-its draws by the same closed forms and builds no measure. Claims scenarios
-give lists of bridge measures.
+locations). The sample checks each column once, as a whole, and builds its
+measures from the checked columns rather than through a validating
+constructor per measure. The fit, the sandwich and the score at the limit
+take the columns as their rule's closed-form terms, so no replication
+inspects its measures again; ``verify_m_matrix`` scores its draws by the
+same closed forms and builds no measure. Claims scenarios give lists of
+bridge measures.
 """
 
 from __future__ import annotations

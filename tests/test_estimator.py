@@ -199,6 +199,12 @@ def test_fit_zroot_expands_bracket(exp_family):
     assert res.estimate == pytest.approx(0.5, abs=1e-9)
 
 
+@pytest.mark.parametrize("family", [ExponentialRate(), ParetoTail(1.0), NormalLocation(1.0)])
+def test_parameter_domains_are_unbounded_above(family):
+    # the bracket clip and the bracket growth assume one of these two domains
+    assert family.param_bounds in ((0.0, math.inf), (-math.inf, math.inf))
+
+
 @pytest.mark.parametrize("family, atoms, bracket, mle", [
     (ExponentialRate(), [5.0, 6.0, 7.0], (50.0, 90.0), 1.0 / 6.0),
     (ParetoTail(1.0), [50.0, 100.0], (50.0, 90.0), 2.0 / (math.log(50.0) + math.log(100.0))),

@@ -11,6 +11,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from measurefit import (
     DiracAtom,
@@ -91,12 +93,87 @@ def test_malformed_columns_rejected(kind, columns):
      lambda: NormalKernel(math.nan, 0.7)),
     (lambda: KernelSample("dirac", location=[0.0, math.nan]),
      lambda: DiracAtom(math.nan)),
+    # the first invalid row raises, not the first failed check over the columns
+    (lambda: KernelSample("gamma", shape=[1.0, 0.0], rate=2.0, shift=[math.inf, 0.0]),
+     lambda: GammaKernel(1.0, 2.0, math.inf)),
 ])
 def test_invalid_values_raise_the_constructors_error(build, make):
     with pytest.raises(ValueError) as expected:
         make()
     with pytest.raises(ValueError, match=re.escape(str(expected.value))):
         build()
+
+
+SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.5, 5e-324]
+VALUES = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
+POSITIVE = st.floats(min_value=5e-324, max_value=1e300)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+VALID = {"dirac": {"location": FINITE}, "gamma": {"shape": POSITIVE, "rate": POSITIVE,
+                                                  "shift": FINITE},
+         "normal": {"mean": FINITE, "sd": POSITIVE}}
+
+
+@st.composite
+def sample_columns(draw, valid: bool):
+    """A kind and its columns: lists of n values, or scalars that broadcast, not all scalars."""
+    kind = draw(st.sampled_from(sorted(VALID)))
+    n = draw(st.integers(1, 12))
+    scalar = draw(st.lists(st.booleans(), min_size=len(VALID[kind]), max_size=len(VALID[kind])))
+    scalar[0] = scalar[0] and not all(scalar)
+    columns = {}
+    for (name, values), one in zip(VALID[kind].items(), scalar):
+        values = values if valid else VALUES
+        columns[name] = draw(values if one else st.lists(values, min_size=n, max_size=n))
+    return kind, n, columns
+
+
+def built_row_by_row(kind: str, n: int, columns: dict) -> list:
+    """The sample's measures from the constructors, one row at a time."""
+    rows = zip(*(values if isinstance(values, list) else [values] * n
+                 for values in columns.values()))
+    if kind == "dirac":
+        return [RandomMeasure((DiracAtom(*row),)) for row in rows]
+    cls = GammaKernel if kind == "gamma" else NormalKernel
+    return [RandomMeasure((WeightedDensity(1.0, cls(*row)),)) for row in rows]
+
+
+def assert_same_measures(got, want):
+    assert list(got) == want and len(got) == len(want)
+    for a, b in zip(got, want):
+        assert type(a) is RandomMeasure and type(a.components) is tuple
+        (comp,), (ref,) = a.components, b.components
+        assert type(comp) is type(ref)
+        if isinstance(ref, WeightedDensity):
+            assert comp.weight == 1.0 and comp.lower is None
+            comp, ref = comp.kernel, ref.kernel
+            assert type(comp) is type(ref)
+        assert hash(comp) == hash(ref)
+        assert vars(comp) == vars(ref) and list(vars(comp)) == list(vars(ref))
+        assert all(type(v) is float for v in vars(comp).values())
+        # -0.0 == 0.0: the fields must keep the sign the columns hold
+        assert [math.copysign(1.0, v) for v in vars(comp).values()] == \
+            [math.copysign(1.0, v) for v in vars(ref).values()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sample_columns(valid=True))
+def test_valid_columns_build_the_measures_the_constructors_build(case):
+    kind, n, columns = case
+    assert_same_measures(KernelSample(kind, **columns), built_row_by_row(kind, n, columns))
+
+
+@settings(max_examples=400, deadline=None)
+@given(sample_columns(valid=False))
+def test_any_columns_raise_the_first_invalid_rows_error(case):
+    kind, n, columns = case
+    try:
+        want = built_row_by_row(kind, n, columns)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            KernelSample(kind, **columns)
+        assert str(got.value) == str(exc)
+    else:
+        assert_same_measures(KernelSample(kind, **columns), want)
 
 
 def test_a_zero_draw_raises_the_kernel_error():
