@@ -13,7 +13,10 @@ normal location) reads them off its closed form, and a ``KernelSample`` of
 such terms hands the rule its columns. Any other measure sums I, I' and I''
 over closed-form terms (these, survival tails and exact normal ramps) and
 quadrature panels checked against the adaptive tolerance at every c, and
-takes Z = -I'/I and Z' = Z^2 - I''/I.
+takes Z = -I'/I and Z' = Z^2 - I''/I. A panel component's compile-time
+knots and node weights are kept for as long as the component lives, so a
+later fit on the same or equal measures, such as a bootstrap after the
+full fit, reads them instead of computing them again.
 
 The fit is a Z-estimator solved by one method: safeguarded Newton on sum Z
 with its exact slope sum Z', inside a bracket across which sum Z changes
@@ -541,6 +544,8 @@ def bootstrap_se(family, sample: Sample, replicates: int, seed: int,
     The sample is compiled once, into a ``PanelRule`` that the first refit's
     first evaluation builds, and each refit takes its resample's rule from
     it with ``PanelRule.take``, which gives the values of a fresh compile.
+    After a ``fit`` on the same measures that compile reads its panels from
+    the entries the fit left in the panel memo.
     Every refit after the first success starts from that success's estimate
     (``fit``'s ``start``), which moves an estimate by its rounding only.
     """

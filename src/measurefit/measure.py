@@ -10,6 +10,7 @@ constructed from these four pieces.
 from __future__ import annotations
 
 import math
+import weakref
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
@@ -451,19 +452,19 @@ def density_knots(family, comp: WeightedDensity, quad: QuadratureSpec) -> np.nda
     return _kernel_knots(kernel, lo, quad)
 
 
-def ramp_domain(family, comp: CdfRamp, quad: QuadratureSpec, c: float | None = None):
-    """Lower cut and panel knots (None when empty) of a ramp's truncated domain.
+def ramp_cut(family, comp: CdfRamp, quad: QuadratureSpec, c: float | None = None):
+    """Lower cut of a ramp's truncated domain: the larger of the family and kernel support bounds.
 
-    The cut is the larger of the family and kernel support bounds. Only when
-    both are unbounded below does it depend on the parameter: it is then the
-    family's low cutoff at ``c``, and with ``c`` None the result is None.
+    Only when both are unbounded below does it depend on the parameter: it
+    is then the family's low cutoff at ``c``, and with ``c`` None the result
+    is None.
     """
     lo = max(family.support_lower, comp.kernel.support_lower)
     if lo == -math.inf:
         if c is None:
             return None
         lo = family.low_cutoff(c, quad.tail_mass)
-    return lo, _kernel_knots(comp.kernel, lo, quad)
+    return lo
 
 
 def _with_peak_knots(family, c: float, knots: np.ndarray) -> np.ndarray:
@@ -471,7 +472,7 @@ def _with_peak_knots(family, c: float, knots: np.ndarray) -> np.ndarray:
 
     A kernel much wider than the family puts the family's peak inside one
     wide panel, where the Gauss nodes can miss it. These knots depend on c,
-    so ``density_knots`` and ``ramp_domain`` leave them out.
+    so the compile-time knots leave them out.
     """
     peak = family.peak_knots(c)
     return np.concatenate([knots, peak[(peak > knots[0]) & (peak < knots[-1])]])
@@ -492,7 +493,8 @@ def _ramp_component_integral(family, c: float, comp: CdfRamp,
     # integral of f_c * G == survival of the family at the cut minus the
     # integral of f_c * (1 - G); the second factor decays like the kernel
     # survival, which makes the domain truncatable.
-    lo, knots = ramp_domain(family, comp, quad, c)
+    lo = ramp_cut(family, comp, quad, c)
+    knots = _kernel_knots(comp.kernel, lo, quad)
     base = float(family.survival(c, lo))
     if knots is None:
         return base
@@ -534,6 +536,27 @@ def integrate(family, c: float, measure: RandomMeasure,
 
 _EVERY = slice(None)
 _NO_PANELS = (np.empty(0), np.empty(0), *gauss_rule(np.empty(0), np.empty(0)))
+_NO_KNOTS = np.empty(0)
+_NO_ENTRIES = MappingProxyType({})
+
+
+class _PanelEntry(NamedTuple):
+    """The compile-time panels of one density or ramp component, read-only.
+
+    ``knots`` bound the panels (empty where the truncated domain is), and
+    ``weights`` holds one row per panel of c-free node weights at its 21
+    high-rule and then 10 low-rule Gauss nodes: the Gauss weight times the
+    component's weight function and the family's density factor e^h there.
+    """
+
+    knots: np.ndarray
+    weights: np.ndarray
+
+
+# The panel entries of every live density or ramp component, one per
+# (family, quadrature spec); a component's entries die with it. Equal
+# components share entries, since an entry depends on nothing else.
+_PANEL_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def closed_form_terms(family, kind: str, c: float, columns) -> tuple:
@@ -605,6 +628,25 @@ class _Panels(NamedTuple):
         starts = np.cumsum([0] + [len(r[0]) for r in rules], dtype=np.intp)[:-1]
         return cls(starts, lo, hi, w_high, w_low, np.concatenate([t_high.ravel(), t_low.ravel()]))
 
+    @classmethod
+    def assemble(cls, family, entries) -> _Panels:
+        """The panels of ``_PanelEntry`` values, with the family's node statistics t.
+
+        t is computed at the nodes of all panels by one ``gauss_rule`` and one
+        ``node_form`` call. Both are elementwise, so the panels are
+        bit-identical to those ``pack`` makes from ``PanelRule._component_rule``.
+        """
+        if not entries:
+            return cls.pack([])
+        sizes = np.array([len(entry.knots) - 1 for entry in entries], dtype=np.intp)
+        lo = np.concatenate([entry.knots[:-1] for entry in entries])
+        hi = np.concatenate([entry.knots[1:] for entry in entries])
+        x_high, _, x_low, _ = gauss_rule(lo, hi)
+        weights = np.concatenate([entry.weights for entry in entries])
+        n = x_high.shape[1]
+        return cls(np.cumsum(sizes) - sizes, lo, hi, weights[:, :n], weights[:, n:],
+                   family.node_form(np.concatenate([x_high, x_low], axis=None))[0])
+
     def rules(self) -> list:
         """The components' rules, as ``pack`` takes them."""
         n = self.w_high.size
@@ -637,6 +679,14 @@ class PanelRule:
     ramps, times the family's density factor e^h) and the family's c-free
     node statistic t (see ``models``). A ``KernelSample`` of closed-form
     terms hands over its columns as they are.
+
+    A panel component's compile-time knots and node weights depend only on
+    the component, the family and the ``QuadratureSpec``, so they are
+    computed once per live component and kept in ``_PANEL_MEMO``: a later
+    rule on the same or equal components, under an equal family and
+    quadrature, reads them from there, bit-identical to a fresh compile.
+    Only t is computed again, for all panels at once. An entry dies with its
+    component, and nothing the rule refines is written back to it.
 
     Every evaluation computes all three terms. ``losses(c)`` returns W =
     -log I(c), Z = dW/dc and Z' = dZ/dc of every measure. A measure of one
@@ -696,12 +746,7 @@ class PanelRule:
             self._direct = self._groups(direct)
         self._mixed = self._groups(mixed)
         self._linear = np.array(linear, dtype=np.intp)
-        self._scale = np.array([w for _, w, _, _ in comps], dtype=float)
-        self._weight_fns = [g for _, _, g, _ in comps]
-        self._knots = [k for _, _, _, k in comps]  # the compile-time panels
-        self._owner = np.array([slot for slot, _, _, _ in comps], dtype=np.intp)
-        self._panels = _Panels.pack([self._component_rule(g, k[:-1], k[1:])
-                                     for _, _, g, k in comps])
+        self._compile_panels(comps)
 
     def take(self, indices) -> PanelRule:
         """The rule of the resample ``[measures[i] for i in indices]``, without compiling it.
@@ -787,22 +832,58 @@ class PanelRule:
                     mixed["tail"].append((slot, comp.lower, comp.height))
             elif isinstance(comp, WeightedDensity):
                 if comp.weight > 0:
-                    knots = density_knots(family, comp, quad)
-                    if knots is not None:
-                        comps.append((slot, comp.weight, comp.kernel.pdf, knots))
+                    comps.append((slot, comp.weight, comp.kernel.pdf, comp))
             elif isinstance(comp, CdfRamp):
-                domain = ramp_domain(family, comp, quad)
-                if domain is None:
+                lo = ramp_cut(family, comp, quad)
+                if lo is None:
                     # both normal: P(Y <= X) for X ~ N(c, sigma1^2), Y ~ N(mean, sd^2)
                     kernel = comp.kernel
                     mixed["ramp"].append((slot, kernel.mean, math.hypot(family.sigma1, kernel.sd)))
                     continue
-                lo, knots = domain
                 mixed["tail"].append((slot, lo, 1.0))
-                if knots is not None:
-                    comps.append((slot, -1.0, comp.kernel.sf, knots))
+                comps.append((slot, -1.0, comp.kernel.sf, comp))
             else:
                 raise TypeError(f"unknown measure component {comp!r}")
+
+    def _compile_panels(self, comps) -> None:
+        """Compile the panels of the components ``(slot, scale, weight_fn, comp)``.
+
+        Each component's knots and node weights are read from ``_PANEL_MEMO``;
+        ``_panel_entry`` computes and stores those it holds no entry for under
+        this family and quadrature. Components whose domain is empty get no
+        panels.
+        """
+        key = (self.family, self.quad)
+        kept = []
+        for slot, scale, weight_fn, comp in comps:
+            entry = _PANEL_MEMO.get(comp, _NO_ENTRIES).get(key)
+            if entry is None:
+                entry = self._panel_entry(weight_fn, comp)
+                _PANEL_MEMO.setdefault(comp, {})[key] = entry
+            if len(entry.knots):
+                kept.append((slot, scale, weight_fn, entry))
+        self._scale = np.array([scale for _, scale, _, _ in kept], dtype=float)
+        self._weight_fns = [g for _, _, g, _ in kept]
+        self._knots = [entry.knots for *_, entry in kept]  # the compile-time panels
+        self._owner = np.array([slot for slot, *_ in kept], dtype=np.intp)
+        self._panels = _Panels.assemble(self.family, [entry for *_, entry in kept])
+
+    def _panel_entry(self, weight_fn, comp) -> _PanelEntry:
+        """The compile-time knots and node weights of a density or of a ramp with a finite cut."""
+        family, quad = self.family, self.quad
+        if isinstance(comp, WeightedDensity):
+            knots = density_knots(family, comp, quad)
+        else:
+            knots = _kernel_knots(comp.kernel, ramp_cut(family, comp, quad), quad)
+        if knots is None:
+            knots = _NO_KNOTS
+        x_high, w_high, x_low, w_low = gauss_rule(knots[:-1], knots[1:])
+        nodes = np.concatenate([x_high, x_low], axis=1)
+        entry = _PanelEntry(knots, np.concatenate([w_high, w_low], axis=1) * weight_fn(nodes)
+                            * family.node_form(nodes)[1])
+        for values in entry:
+            values.flags.writeable = False
+        return entry
 
     def _component_rule(self, weight_fn, lo: np.ndarray, hi: np.ndarray):
         """Panels, node statistics t and c-free weights of one component.

@@ -5,7 +5,10 @@ value it returns must agree with per-measure adaptive integration, which
 stays the oracle.
 """
 
+import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -629,3 +632,83 @@ def test_a_refinement_where_the_peak_cut_applies_keeps_the_cut(monkeypatch):
     rule = assert_matches_oracle(family, measures, np.linspace(-40.0, 40.0, 81))
     assert any(on_cut)
     assert rule.panels > PanelRule(family, measures).panels
+
+
+_MEMO_FAMILIES = [ParetoTail(1.0), ExponentialRate(), NormalLocation(1.3)]
+
+
+def _memo_component(kind, shape, scale, at):
+    """One component of a memo test measure; ``at`` sets a shift, bound or centre, 0.0 or -0.0 among them."""
+    gamma = GammaKernel(shape, shape / (2.0 * scale), shift=at)
+    normal = NormalKernel(at, scale)
+    return {"atom": DiracAtom(2.0 + scale), "tail": ConstantTail(1.0 + at, 0.5),
+            "gamma": WeightedDensity(0.7, gamma), "gamma_above": WeightedDensity(1.0, gamma, at),
+            "normal": WeightedDensity(1.0, normal), "normal_above": WeightedDensity(0.4, normal, at),
+            "gamma_ramp": CdfRamp(gamma), "normal_ramp": CdfRamp(normal)}[kind]
+
+
+def _twin(obj):
+    """An equal but distinct copy of a component, every zero field with its sign flipped."""
+    values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    return type(obj)(**{name: _twin(v) if dataclasses.is_dataclass(v) else
+                        -v if v == 0.0 else v for name, v in values.items()})
+
+
+def _outcomes(rule, cs):
+    """``losses`` and ``integrals_with_hess`` at each c in turn, or the error raised there."""
+    out = []
+    for c in cs:
+        try:
+            out.append(rule.losses(c) + rule.integrals_with_hess(c))
+        except QuadratureError as exc:
+            out.append(type(exc).__name__)
+    return out
+
+
+def _no_entry(*args):
+    raise AssertionError("compiled a component the memo holds")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(_MEMO_FAMILIES),
+    specs=st.lists(st.lists(st.tuples(
+        st.sampled_from(["atom", "tail", "gamma", "gamma_above", "normal", "normal_above",
+                         "gamma_ramp", "normal_ramp"]),
+        st.floats(1.5, 20.0), st.floats(0.3, 3.0), st.sampled_from([0.0, -0.0, 0.5, 1.5])),
+        min_size=1, max_size=3), min_size=1, max_size=4),
+    inner=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)),
+)
+def test_rules_read_from_the_memo_equal_a_fresh_compile(family, specs, inner):
+    # the panel memo keys on the component, so a second rule on the same
+    # measures, or on equal copies (a zero field of either sign), reads its
+    # knots and weights from the first compile's entries, also after another
+    # rule refined at the bracket ends; every value is bit-identical
+    gc.collect()
+    held = len(measure._PANEL_MEMO)
+    measures = [RandomMeasure(tuple(_memo_component(*spec) for spec in comps)) for comps in specs]
+    twins = [RandomMeasure(tuple(_twin(comp) for comp in m.components)) for m in measures]
+    lo, hi = family.default_bracket()
+    cs = [lo, *(lo + (hi - lo) * u**4 for u in inner), hi]
+    first = _outcomes(PanelRule(family, measures), cs)
+    refined = PanelRule(family, measures)
+    _outcomes(refined, [lo, hi])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PanelRule, "_panel_entry", _no_entry)
+        served = [PanelRule(family, measures), PanelRule(family, twins)]
+    for rule in served:
+        for got, want in zip(_outcomes(rule, cs), first):
+            assert type(got) is type(want), (got, want)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                for g, w in zip(got, want):
+                    np.testing.assert_array_equal(g, w)
+    entries = [entry for m in measures for comp in m.components
+               for entry in measure._PANEL_MEMO.get(comp, {}).values()]
+    assert not any(values.flags.writeable for entry in entries for values in entry)
+    alive = [weakref.ref(comp) for m in measures + twins for comp in m.components]
+    del measures, twins, refined, served
+    gc.collect()
+    assert not any(ref() for ref in alive)
+    assert len(measure._PANEL_MEMO) == held

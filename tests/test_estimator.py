@@ -316,6 +316,18 @@ def test_minimize_returns_the_bracket_end_at_a_boundary_optimum(exp_family):
     assert fit(exp_family, sample, config, method="zroot").estimate == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("method", ["minimize", "zroot"])
+@pytest.mark.parametrize("bracket", [(5.0, 10.0), (0.0, 5.0)])
+def test_an_exact_zero_score_at_a_bracket_end_is_the_estimate(method, bracket):
+    # atoms at 4 and 6 put sum Z = 0 exactly at c = 5, one end of either
+    # bracket: the solver returns that end after evaluating the two ends
+    sample = [make_dirac(4.0), make_dirac(6.0)]
+    res = fit(NormalLocation(1.0), sample, OptimizerConfig(bracket=bracket), method=method)
+    assert res.estimate == 5.0
+    assert res.converged
+    assert res.iterations == 2
+
+
 def _exp_censored_sample(seed):
     # exponential draws, a third of them right-censored at the draw
     xs = np.random.default_rng(seed).exponential(2.0, size=60)
