@@ -24,6 +24,8 @@ from scipy import special
 from .models import ExponentialRate, NormalLocation
 from .quadrature import (
     DEFAULT_QUAD,
+    HIGH_ORDER,
+    QUANTILE_LADDER,
     QuadratureError,
     QuadratureSpec,
     domain_knots,
@@ -39,6 +41,39 @@ def _stirling_residual(a: float) -> float:
     """gammaln(a) minus its Stirling main terms, for large a."""
     inv = 1.0 / a
     return inv / 12.0 - inv**3 / 360.0 + inv**5 / 1260.0
+
+
+def _each(fn, a):
+    """fn of a float, or of each entry of an array of floats, by Python floats once per value."""
+    if not isinstance(a, np.ndarray):
+        return fn(a)
+    values, at = np.unique(a, return_inverse=True)
+    return np.array([fn(v) for v in values.tolist()])[at].reshape(a.shape)
+
+
+def _gamma_log_pdf(a, rate, safe, saddle: bool) -> np.ndarray:
+    """The gamma log density at safe > 0, its terms summed in place in the written order."""
+    log_pdf, term = np.empty(safe.shape), np.empty(safe.shape)
+    if saddle:
+        # -a (delta - log1p(delta)) - log(safe) + log(a / 2 pi) / 2 - residual(a):
+        # cancellation-free, where the naive form loses ~a*eps absolute accuracy,
+        # which poisons quadrature error estimates for near-degenerate kernels
+        np.multiply(rate, safe, out=log_pdf)
+        log_pdf /= a
+        log_pdf -= 1.0
+        log_pdf -= np.log1p(log_pdf, out=term)
+        log_pdf *= -a
+        log_pdf -= np.log(safe, out=term)
+        log_pdf += _each(lambda v: 0.5 * math.log(v / (2.0 * math.pi)), a)
+        log_pdf -= _each(_stirling_residual, a)
+        return log_pdf
+    # a log(rate) + (a - 1) log(safe) - rate safe - gammaln(a)
+    np.log(safe, out=log_pdf)
+    log_pdf *= a - 1.0
+    log_pdf += a * _each(math.log, rate)
+    log_pdf -= np.multiply(rate, safe, out=term)
+    log_pdf -= special.gammaln(a)
+    return log_pdf
 
 
 def _finite(x):
@@ -109,29 +144,27 @@ class GammaKernel:
         return self.shift + self.shape / self.rate
 
     def pdf(self, x):
-        u = np.asarray(x, dtype=float) - self.shift
-        safe = np.where(u > 0, u, 1.0)
+        safe = np.asarray(np.asarray(x, dtype=float) - self.shift)
+        inside = safe > 0
+        outside = None if inside.all() else ~inside
+        if outside is not None:
+            np.copyto(safe, 1.0, where=outside)
         a = self.shape
-        if a > 1e4:
-            # cancellation-free saddle-point form: the naive log pdf
-            # subtracts terms of size a*log(a), losing ~a*eps absolute
-            # accuracy, which poisons quadrature error estimates for the
-            # near-degenerate kernels used at bridging endpoints
-            delta = self.rate * safe / a - 1.0
-            log_pdf = (
-                -a * (delta - np.log1p(delta))
-                - np.log(safe)
-                + 0.5 * math.log(a / (2.0 * math.pi))
-                - _stirling_residual(a)
-            )
-        else:
-            log_pdf = (
-                a * math.log(self.rate)
-                + (a - 1.0) * np.log(safe)
-                - self.rate * safe
-                - special.gammaln(a)
-            )
-        return np.where(u > 0, np.exp(log_pdf), 0.0)
+        if not isinstance(a, np.ndarray):  # the saddle-point form for large shapes
+            log_pdf = _gamma_log_pdf(a, self.rate, safe, a > 1e4)
+        else:  # a column kernel: each row takes its own form
+            saddle = a[:, 0] > 1e4
+            parts = [(rows, form) for rows, form in ((saddle, True), (~saddle, False)) if rows.any()]
+            if len(parts) == 1:
+                log_pdf = _gamma_log_pdf(a, self.rate, safe, parts[0][1])
+            else:
+                log_pdf = np.empty(safe.shape)
+                for rows, form in parts:
+                    log_pdf[rows] = _gamma_log_pdf(a[rows], self.rate[rows], safe[rows], form)
+        np.exp(log_pdf, out=log_pdf)
+        if outside is not None:
+            np.copyto(log_pdf, 0.0, where=outside)
+        return log_pdf
 
     def cdf(self, x):
         u = np.asarray(x, dtype=float) - self.shift
@@ -430,26 +463,41 @@ class KernelSample(Sequence):
 # integration
 
 
-def _kernel_knots(kernel: Kernel, lo: float, quad: QuadratureSpec) -> np.ndarray | None:
-    """Panel knots on [lo, hi], hi where the kernel keeps ``tail_mass`` above; None if empty."""
-    hi = float(kernel.ppf(1.0 - quad.tail_mass))
-    if not hi > lo:
-        return None
-    return domain_knots(lo, hi, kernel.ppf)
+def _column_kernel(kernels, repeats=1):
+    """One kernel whose fields are columns, kernel i's repeated ``repeats`` (or ``repeats[i]``) times.
+
+    Its methods evaluate each row at that row of their argument. The kernels
+    passed the checks, which are not run again.
+    """
+    cls = type(kernels[0])
+    return _instances(cls, **{f.name: [np.repeat([getattr(k, f.name) for k in kernels],
+                                                 repeats)[:, None]] for f in fields(cls)})[0]
 
 
-def density_knots(family, comp: WeightedDensity, quad: QuadratureSpec) -> np.ndarray | None:
-    """Panel knots of a density component's truncated domain; None when it is empty.
+def _kernel_knots(kernel, lo, quad: QuadratureSpec, cut: bool = False) -> list[np.ndarray]:
+    """Panel knots on [lo_i, hi_i] per kernel row, hi_i where the row keeps ``tail_mass`` above.
+
+    ``kernel`` is one kernel or a column kernel, ``lo`` a float per row. One
+    ``ppf`` call gives each row its quantiles at ``tail_mass``, ``1 -
+    tail_mass`` and the ladder. With ``cut``, ``max`` raises lo_i to the
+    first, unless it is nan. A row's knots are empty when its domain is.
+    """
+    levels = np.concatenate([[quad.tail_mass, 1.0 - quad.tail_mass], QUANTILE_LADDER])
+    q = kernel.ppf(levels).reshape(-1, levels.size)
+    if cut:
+        lo = list(map(max, lo, q[:, 0].tolist()))
+    return domain_knots(lo, q[:, 1], q[:, 2:])
+
+
+def density_knots(family, comps, kernel, quad: QuadratureSpec) -> list[np.ndarray]:
+    """Panel knots of density components' truncated domains, as rows of ``kernel``'s.
 
     The domain is cut where the kernel keeps less than ``tail_mass`` outside,
     so it does not depend on the family parameter.
     """
-    kernel = comp.kernel
-    lo = max(family.support_lower, kernel.support_lower)
-    if comp.lower is not None:
-        lo = max(lo, comp.lower)
-    lo = max(lo, float(kernel.ppf(quad.tail_mass)))
-    return _kernel_knots(kernel, lo, quad)
+    lo = [max(family.support_lower, comp.kernel.support_lower,
+              -math.inf if comp.lower is None else comp.lower) for comp in comps]
+    return _kernel_knots(kernel, lo, quad, cut=True)
 
 
 def ramp_cut(family, comp: CdfRamp, quad: QuadratureSpec, c: float | None = None):
@@ -467,25 +515,26 @@ def ramp_cut(family, comp: CdfRamp, quad: QuadratureSpec, c: float | None = None
     return lo
 
 
-def _with_peak_knots(family, c: float, knots: np.ndarray) -> np.ndarray:
-    """The knots plus those of the family's peak at c that fall inside them.
+def _knots_integral(family, c: float, knots: np.ndarray, weight_fn,
+                    quad: QuadratureSpec) -> float:
+    """The integral of the family density at c times ``weight_fn`` over the knots; 0 if none.
 
-    A kernel much wider than the family puts the family's peak inside one
-    wide panel, where the Gauss nodes can miss it. These knots depend on c,
-    so the compile-time knots leave them out.
+    The family's peak knots at c that fall inside are added: a kernel much
+    wider than the family puts the family's peak inside one wide panel, where
+    the Gauss nodes can miss it. These knots depend on c, so the
+    compile-time knots leave them out.
     """
+    if not len(knots):
+        return 0.0
     peak = family.peak_knots(c)
-    return np.concatenate([knots, peak[(peak > knots[0]) & (peak < knots[-1])]])
+    knots = np.concatenate([knots, peak[(peak > knots[0]) & (peak < knots[-1])]])
+    return integrate_panels(lambda x: family.density(c, x) * weight_fn(x), knots, quad)
 
 
 def _density_component_integral(family, c: float, comp: WeightedDensity,
                                 quad: QuadratureSpec) -> float:
-    knots = density_knots(family, comp, quad)
-    if knots is None:
-        return 0.0
-    kernel = comp.kernel
-    integrand = lambda x: family.density(c, x) * kernel.pdf(x)
-    return comp.weight * integrate_panels(integrand, _with_peak_knots(family, c, knots), quad)
+    knots = density_knots(family, [comp], comp.kernel, quad)[0]
+    return comp.weight * _knots_integral(family, c, knots, comp.kernel.pdf, quad)
 
 
 def _ramp_component_integral(family, c: float, comp: CdfRamp,
@@ -494,13 +543,8 @@ def _ramp_component_integral(family, c: float, comp: CdfRamp,
     # integral of f_c * (1 - G); the second factor decays like the kernel
     # survival, which makes the domain truncatable.
     lo = ramp_cut(family, comp, quad, c)
-    knots = _kernel_knots(comp.kernel, lo, quad)
-    base = float(family.survival(c, lo))
-    if knots is None:
-        return base
-    kernel = comp.kernel
-    integrand = lambda x: family.density(c, x) * kernel.sf(x)
-    return base - integrate_panels(integrand, _with_peak_knots(family, c, knots), quad)
+    knots = _kernel_knots(comp.kernel, lo, quad)[0]
+    return float(family.survival(c, lo)) - _knots_integral(family, c, knots, comp.kernel.sf, quad)
 
 
 def integrate(family, c: float, measure: RandomMeasure,
@@ -534,9 +578,15 @@ def integrate(family, c: float, measure: RandomMeasure,
 # compiled integration: one sample, many parameter values
 
 
+def _split_rule(lo: np.ndarray, hi: np.ndarray, t: np.ndarray, weights: np.ndarray) -> tuple:
+    """A component's rule as ``_Panels.pack`` takes it, from t and weights at each panel's 31 nodes."""
+    n = HIGH_ORDER
+    return lo, hi, t[:, :n], weights[:, :n], t[:, n:], weights[:, n:]
+
+
 _EVERY = slice(None)
-_NO_PANELS = (np.empty(0), np.empty(0), *gauss_rule(np.empty(0), np.empty(0)))
 _NO_KNOTS = np.empty(0)
+_NO_PANELS = _split_rule(_NO_KNOTS, _NO_KNOTS, *gauss_rule(_NO_KNOTS, _NO_KNOTS))
 _NO_ENTRIES = MappingProxyType({})
 
 
@@ -547,6 +597,7 @@ class _PanelEntry(NamedTuple):
     ``weights`` holds one row per panel of c-free node weights at its 21
     high-rule and then 10 low-rule Gauss nodes: the Gauss weight times the
     component's weight function and the family's density factor e^h there.
+    An entry made in a rule's compile views its rows of that rule's weights.
     """
 
     knots: np.ndarray
@@ -610,7 +661,7 @@ class _Panels(NamedTuple):
 
     Component k owns panels ``starts[k]`` up to ``ends[k]``; ``stat`` holds
     the node statistics t at the high-rule nodes, then at the low-rule
-    nodes, so one density call covers both.
+    nodes, so one density call covers both, each part contiguous.
     """
 
     starts: np.ndarray
@@ -626,26 +677,7 @@ class _Panels(NamedTuple):
         lo, hi, t_high, w_high, t_low, w_low = (
             [np.concatenate(col) for col in zip(*rules)] if rules else _NO_PANELS)
         starts = np.cumsum([0] + [len(r[0]) for r in rules], dtype=np.intp)[:-1]
-        return cls(starts, lo, hi, w_high, w_low, np.concatenate([t_high.ravel(), t_low.ravel()]))
-
-    @classmethod
-    def assemble(cls, family, entries) -> _Panels:
-        """The panels of ``_PanelEntry`` values, with the family's node statistics t.
-
-        t is computed at the nodes of all panels by one ``gauss_rule`` and one
-        ``node_form`` call. Both are elementwise, so the panels are
-        bit-identical to those ``pack`` makes from ``PanelRule._component_rule``.
-        """
-        if not entries:
-            return cls.pack([])
-        sizes = np.array([len(entry.knots) - 1 for entry in entries], dtype=np.intp)
-        lo = np.concatenate([entry.knots[:-1] for entry in entries])
-        hi = np.concatenate([entry.knots[1:] for entry in entries])
-        x_high, _, x_low, _ = gauss_rule(lo, hi)
-        weights = np.concatenate([entry.weights for entry in entries])
-        n = x_high.shape[1]
-        return cls(np.cumsum(sizes) - sizes, lo, hi, weights[:, :n], weights[:, n:],
-                   family.node_form(np.concatenate([x_high, x_low], axis=None))[0])
+        return cls(starts, lo, hi, w_high, w_low, np.concatenate([t_high, t_low], axis=None))
 
     def rules(self) -> list:
         """The components' rules, as ``pack`` takes them."""
@@ -684,9 +716,13 @@ class PanelRule:
     the component, the family and the ``QuadratureSpec``, so they are
     computed once per live component and kept in ``_PANEL_MEMO``: a later
     rule on the same or equal components, under an equal family and
-    quadrature, reads them from there, bit-identical to a fresh compile.
-    Only t is computed again, for all panels at once. An entry dies with its
-    component, and nothing the rule refines is written back to it.
+    quadrature, reads them from there, bit-identical to a fresh compile. An
+    entry dies with its component, and nothing the rule refines is written
+    back to it. The components the memo lacks are compiled in one pass per
+    kernel group (the densities, or the ramps, of one kernel class): one
+    ``ppf`` call for the knots of all of them, and one weight-function call
+    at the nodes of all their panels. One ``gauss_rule`` and one
+    ``node_form`` call over every panel give t, and e^h for the new weights.
 
     Every evaluation computes all three terms. ``losses(c)`` returns W =
     -log I(c), Z = dW/dc and Z' = dZ/dc of every measure. A measure of one
@@ -848,42 +884,68 @@ class PanelRule:
     def _compile_panels(self, comps) -> None:
         """Compile the panels of the components ``(slot, scale, weight_fn, comp)``.
 
-        Each component's knots and node weights are read from ``_PANEL_MEMO``;
-        ``_panel_entry`` computes and stores those it holds no entry for under
-        this family and quadrature. Components whose domain is empty get no
-        panels.
+        Each component's knots and node weights are read from ``_PANEL_MEMO``.
+        Those it holds no entry for under this family and quadrature are
+        compiled, and stored, by kernel group (the densities, or the ramps, of
+        one kernel class): ``_group_knots`` gives their knots, and one call of
+        the group's column kernel pdf or sf its weight functions at the nodes
+        of their panels. One ``gauss_rule`` and one ``node_form`` call over the
+        panels of all components give t and e^h. Every step is elementwise, so
+        an entry is bit-identical to that of a one-component compile.
+        Components whose domain is empty get no panels.
         """
-        key = (self.family, self.quad)
-        kept = []
-        for slot, scale, weight_fn, comp in comps:
-            entry = _PANEL_MEMO.get(comp, _NO_ENTRIES).get(key)
-            if entry is None:
-                entry = self._panel_entry(weight_fn, comp)
-                _PANEL_MEMO.setdefault(comp, {})[key] = entry
-            if len(entry.knots):
-                kept.append((slot, scale, weight_fn, entry))
-        self._scale = np.array([scale for _, scale, _, _ in kept], dtype=float)
-        self._weight_fns = [g for _, _, g, _ in kept]
-        self._knots = [entry.knots for *_, entry in kept]  # the compile-time panels
-        self._owner = np.array([slot for slot, *_ in kept], dtype=np.intp)
-        self._panels = _Panels.assemble(self.family, [entry for *_, entry in kept])
+        family, key = self.family, (self.family, self.quad)
+        entries = [_PANEL_MEMO.get(comp, _NO_ENTRIES).get(key) for *_, comp in comps]
+        groups = {}  # the components the memo lacks, by kernel group
+        for k, (*_, comp) in enumerate(comps):
+            if entries[k] is None:
+                groups.setdefault((type(comp), type(comp.kernel)), []).append(k)
+        knots = [entry and entry.knots for entry in entries]
+        for (kind, _), ks in groups.items():
+            for k, x in zip(ks, self._group_knots(kind, [comps[k][3] for k in ks])):
+                x.flags.writeable = False
+                knots[k] = x
+        kept = [k for k, x in enumerate(knots) if len(x)]
+        sizes = np.array([len(knots[k]) - 1 for k in kept], dtype=np.intp)
+        starts = np.cumsum(sizes) - sizes
+        rows = dict(zip(kept, zip(starts.tolist(), (starts + sizes).tolist())))  # each one's panels
+        lo = np.concatenate([_NO_KNOTS, *(knots[k][:-1] for k in kept)])
+        hi = np.concatenate([_NO_KNOTS, *(knots[k][1:] for k in kept)])
+        nodes, gauss = gauss_rule(lo, hi)  # the Gauss weights times the weight functions, in place
+        for (kind, _), ks in groups.items():
+            if ks := [k for k in ks if k in rows]:
+                counts = [e - s for s, e in map(rows.get, ks)]
+                panels = _EVERY if sum(counts) == len(lo) else np.concatenate(
+                    [np.arange(*rows[k]) for k in ks])
+                kernel = _column_kernel([comps[k][3].kernel for k in ks], counts)
+                gauss[panels] *= (kernel.pdf if kind is WeightedDensity else kernel.sf)(nodes[panels])
+        t, e_h = family.node_form(nodes)
+        # the two arrays the rule keeps come last, so the temporaries freed
+        # below them leave room for those of its evaluations
+        weights = np.multiply(gauss, e_h)
+        _, _, t_high, w_high, t_low, w_low = _split_rule(lo, hi, t, weights)
+        stat = np.concatenate([t_high, t_low], axis=None)
+        for k, (*_, comp) in enumerate(comps):
+            s, e = rows.get(k, (0, 0))
+            if entries[k] is None:  # the new rows are the entry's
+                entries[k] = _PanelEntry(knots[k], weights[s:e])
+                entries[k].weights.flags.writeable = False
+                _PANEL_MEMO.setdefault(comp, {})[key] = entries[k]
+            else:
+                weights[s:e] = entries[k].weights
+        self._scale = np.array([comps[k][1] for k in kept], dtype=float)
+        self._weight_fns = [comps[k][2] for k in kept]
+        self._knots = [knots[k] for k in kept]  # the compile-time panels
+        self._owner = np.array([comps[k][0] for k in kept], dtype=np.intp)
+        self._panels = _Panels(starts, lo, hi, w_high, w_low, stat)
 
-    def _panel_entry(self, weight_fn, comp) -> _PanelEntry:
-        """The compile-time knots and node weights of a density or of a ramp with a finite cut."""
+    def _group_knots(self, kind, group) -> list[np.ndarray]:
+        """The compile-time knots of a kernel group's densities, or ramps with a finite cut."""
         family, quad = self.family, self.quad
-        if isinstance(comp, WeightedDensity):
-            knots = density_knots(family, comp, quad)
-        else:
-            knots = _kernel_knots(comp.kernel, ramp_cut(family, comp, quad), quad)
-        if knots is None:
-            knots = _NO_KNOTS
-        x_high, w_high, x_low, w_low = gauss_rule(knots[:-1], knots[1:])
-        nodes = np.concatenate([x_high, x_low], axis=1)
-        entry = _PanelEntry(knots, np.concatenate([w_high, w_low], axis=1) * weight_fn(nodes)
-                            * family.node_form(nodes)[1])
-        for values in entry:
-            values.flags.writeable = False
-        return entry
+        kernel = _column_kernel([comp.kernel for comp in group])
+        if kind is WeightedDensity:
+            return density_knots(family, group, kernel, quad)
+        return _kernel_knots(kernel, [ramp_cut(family, comp, quad) for comp in group], quad)
 
     def _component_rule(self, weight_fn, lo: np.ndarray, hi: np.ndarray):
         """Panels, node statistics t and c-free weights of one component.
@@ -891,11 +953,11 @@ class PanelRule:
         A node's weight is its Gauss weight times the component's weight
         function and the family's density factor e^h at the node.
         """
-        x_high, w_high, x_low, w_low = gauss_rule(lo, hi)
-        t_high, h_high = self.family.node_form(x_high)
-        t_low, h_low = self.family.node_form(x_low)
-        return (lo, hi, t_high, w_high * weight_fn(x_high) * h_high,
-                t_low, w_low * weight_fn(x_low) * h_low)
+        x, weights = gauss_rule(lo, hi)
+        t, e_h = self.family.node_form(x)
+        weights *= weight_fn(x)
+        weights *= e_h
+        return _split_rule(lo, hi, t, weights)
 
     @property
     def panels(self) -> int:

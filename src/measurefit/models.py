@@ -264,8 +264,10 @@ class ParetoTail(_RateFamily):
         """The c-free statistic t = log(x / x0) (0 below x0) and factor e^h = 1 / x (0 below) at x."""
         xs = np.asarray(x, dtype=float)
         inside = xs >= self.x0
-        safe = np.where(inside, xs, self.x0)
-        return np.log(safe / self.x0), np.where(inside, 1.0 / safe, 0.0)
+        t = np.where(inside, xs, self.x0)
+        e_h = np.divide(1.0, t, out=np.zeros(t.shape), where=inside)
+        t /= self.x0
+        return np.log(t, out=t), e_h
 
     def spec_string(self) -> str:
         return f"pareto(x0={self.x0:g})"

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_X_LOW, _W_LOW = np.polynomial.legendre.leggauss(10)
-_X_HIGH, _W_HIGH = np.polynomial.legendre.leggauss(21)
+HIGH_ORDER = 21  # the 21-point rule's nodes come first, then the 10-point rule's
+_X, _W = map(np.concatenate, zip(np.polynomial.legendre.leggauss(HIGH_ORDER),
+                                 np.polynomial.legendre.leggauss(10)))
 
 
 class QuadratureError(RuntimeError):
@@ -49,22 +50,25 @@ DEFAULT_QUAD = QuadratureSpec()
 
 
 def gauss_rule(lo: np.ndarray, hi: np.ndarray):
-    """Nodes and weights of the 21- and 10-point Gauss rules on panels [lo_i, hi_i].
+    """Nodes and weights ``(x, w)`` of the 21- and 10-point Gauss rules on panels [lo_i, hi_i].
 
-    Returns ``(x_high, w_high, x_low, w_low)`` with one row per panel; a
-    panel's two estimates of the integral of f are ``(f(x) * w).sum(axis=1)``.
+    Each has one row per panel, the first ``HIGH_ORDER`` entries of a row
+    the 21-point rule's; a panel's two estimates of the integral of f are
+    the sums of ``f(x) * w`` over the two parts of its row.
     """
-    mid = 0.5 * (lo + hi)[:, None]
-    half = 0.5 * (hi - lo)[:, None]
-    return mid + half * _X_HIGH, half * _W_HIGH, mid + half * _X_LOW, half * _W_LOW
+    x = 0.5 * (hi - lo)[:, None]
+    w = x * _W
+    x = x * _X
+    x += 0.5 * (lo + hi)[:, None]  # mid + half * x
+    return x, w
 
 
 def _panel_estimates(f, lo: np.ndarray, hi: np.ndarray):
     """High-order value and error estimate for each panel [lo_i, hi_i]."""
-    x_high, w_high, x_low, w_low = gauss_rule(lo, hi)
-    vals_high = (f(x_high) * w_high).sum(axis=1)
-    vals_low = (f(x_low) * w_low).sum(axis=1)
-    return vals_high, np.abs(vals_high - vals_low)
+    x, w = gauss_rule(lo, hi)
+    vals = f(x) * w
+    vals_high = vals[:, :HIGH_ORDER].sum(axis=1)
+    return vals_high, np.abs(vals_high - vals[:, HIGH_ORDER:].sum(axis=1))
 
 
 def refine_panels(f, lo: np.ndarray, hi: np.ndarray, spec: QuadratureSpec,
@@ -133,7 +137,7 @@ def integrate_panels(f, knots, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
     return refine_panels(f, knots[:-1], knots[1:], spec)[0]
 
 
-_QUANTILE_LADDER = np.array(
+QUANTILE_LADDER = np.array(
     [1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.25, 0.5,
      0.75, 0.9, 0.95, 0.99, 1 - 1e-3, 1 - 1e-4, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12]
 )
@@ -141,19 +145,26 @@ _QUANTILE_LADDER = np.array(
 _EDGE_FRACTIONS = 10.0 ** -np.arange(1, 13)
 
 
-def domain_knots(lo: float, hi: float, quantile_fn=None) -> np.ndarray:
-    """Panel boundaries for [lo, hi] adapted to products of densities.
+def domain_knots(lo, hi, quantiles=None) -> list[np.ndarray]:
+    """Panel boundaries for each domain [lo_i, hi_i], adapted to products of densities.
 
-    Combines kernel quantiles (mass can sit anywhere the kernel puts it)
-    with geometric refinements toward both edges (the family density can
-    concentrate the product near either end when the interval spans many
-    orders of magnitude).
+    Combines kernel quantiles (mass can sit anywhere the kernel puts it),
+    row i of ``quantiles`` for domain i, with geometric refinements toward
+    both edges (the family density can concentrate the product near either
+    end when the interval spans many orders of magnitude). Points outside a
+    domain become repeats of hi, and each row is sorted and rid of repeats on
+    its own; an empty domain (not hi > lo) gets no knots.
     """
+    lo, hi = np.asarray(lo, dtype=float).reshape(-1, 1), np.asarray(hi, dtype=float).reshape(-1, 1)
     width = hi - lo
-    pts = [np.array([lo, hi])]
-    if quantile_fn is not None:
-        q = np.asarray(quantile_fn(_QUANTILE_LADDER), dtype=float)
-        pts.append(q[(q > lo) & (q < hi) & np.isfinite(q)])
-    edges = np.concatenate([lo + width * _EDGE_FRACTIONS, hi - width * _EDGE_FRACTIONS])
-    pts.append(edges[(edges > lo) & (edges < hi)])
-    return np.unique(np.concatenate(pts))
+    pts = [lo + width * _EDGE_FRACTIONS, hi - width * _EDGE_FRACTIONS]
+    if quantiles is not None:
+        pts.append(np.asarray(quantiles, dtype=float).reshape(len(lo), -1))
+    pts = np.concatenate(pts, axis=1)
+    rows = np.concatenate([lo, hi, np.where((pts > lo) & (pts < hi), pts, hi)], axis=1)
+    rows.sort()
+    ok = hi > lo
+    keep = np.concatenate([ok, (rows[:, 1:] != rows[:, :-1]) & ok], axis=1)
+    ends = keep.sum(axis=1).cumsum().tolist()
+    flat = rows[keep]
+    return [flat[s:e] for s, e in zip([0, *ends], ends)]

@@ -694,7 +694,7 @@ def test_rules_read_from_the_memo_equal_a_fresh_compile(family, specs, inner):
     refined = PanelRule(family, measures)
     _outcomes(refined, [lo, hi])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(PanelRule, "_panel_entry", _no_entry)
+        mp.setattr(PanelRule, "_group_knots", _no_entry)
         served = [PanelRule(family, measures), PanelRule(family, twins)]
     for rule in served:
         for got, want in zip(_outcomes(rule, cs), first):
@@ -712,3 +712,79 @@ def test_rules_read_from_the_memo_equal_a_fresh_compile(family, specs, inner):
     gc.collect()
     assert not any(ref() for ref in alive)
     assert len(measure._PANEL_MEMO) == held
+
+
+def _bulk_component(kind, shape, scale, at):
+    """One component of a bulk-compile test measure; ``at`` sets a shift, bound or centre."""
+    gamma = GammaKernel(shape, shape / scale, shift=at)  # mean at + scale, sd scale / sqrt(shape)
+    normal = NormalKernel(at, scale)
+    return {"gamma": WeightedDensity(0.7, gamma), "gamma_above": WeightedDensity(1.0, gamma, at + scale),
+            "normal": WeightedDensity(1.0, normal), "normal_above": WeightedDensity(0.4, normal, at),
+            "gamma_ramp": CdfRamp(gamma), "normal_ramp": CdfRamp(normal),
+            "empty": WeightedDensity(1.0, gamma, at + 1e3 * scale),  # no mass left above the bound
+            "zero": WeightedDensity(0.0, gamma), "atom": DiracAtom(2.0 + scale),
+            "tail": ConstantTail(1.0 + scale, 0.5)}[kind]
+
+
+def _compiled_fresh(family, measures):
+    """``PanelRule(family, measures)`` with every component new to the panel memo."""
+    measure._PANEL_MEMO.clear()
+    return PanelRule(family, measures)
+
+
+def _entry(family, comp):
+    return measure._PANEL_MEMO.get(comp, {}).get((family, DEFAULT_QUAD))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(_MEMO_FAMILIES),
+    specs=st.lists(st.lists(st.tuples(
+        st.sampled_from(["gamma", "gamma_above", "normal", "normal_above", "gamma_ramp",
+                         "normal_ramp", "empty", "zero", "atom", "tail"]),
+        st.sampled_from([1.5, 7.0, 900.0, 9.9e3, 1.01e4, 3e5, 1e7]), st.floats(0.3, 3.0),
+        st.sampled_from([0.0, -0.0, 0.5, 1.5, -2.0])),
+        min_size=1, max_size=3), min_size=1, max_size=5),
+    inner=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)),
+)
+def test_a_rule_compiled_by_kernel_group_equals_one_measure_rules(family, specs, inner):
+    # a rule on many measures compiles its new panel components by kernel
+    # group, in one pass per group; every value of a measure, and every memo
+    # entry, is bit-identical to what a rule on that measure alone, or on
+    # that component alone, computes, whatever else the rule holds: gamma
+    # shapes on both sides of the saddle-point switch at 1e4, empty domains,
+    # zero weights and an equal copy of the first measure among them
+    measures = [RandomMeasure(tuple(_bulk_component(*spec) for spec in comps)) for comps in specs]
+    measures.append(RandomMeasure(tuple(_twin(comp) for comp in measures[0].components)))
+    lo, hi = family.default_bracket()
+    cs = [lo, *(lo + (hi - lo) * u**4 for u in inner), hi]
+    bulk = _compiled_fresh(family, measures)
+    comps = [comp for m in measures for comp in m.components]
+    entries = [_entry(family, comp) for comp in comps]
+    for comp, entry in zip(comps, entries):
+        _compiled_fresh(family, [RandomMeasure((comp,))])
+        alone = _entry(family, comp)
+        assert (entry is None) == (alone is None), comp
+        if entry is not None:
+            np.testing.assert_array_equal(entry.knots, alone.knots)
+            np.testing.assert_array_equal(entry.weights, alone.weights)
+    singles = [_compiled_fresh(family, [m]) for m in measures]
+    for c in cs:
+        got = _outcomes(bulk, [c])[0]
+        wants = [_outcomes(rule, [c])[0] for rule in singles]
+        if isinstance(got, str):  # a component failed: a rule that holds it alone fails too
+            assert got in wants
+            break
+        for i, want in enumerate(wants):
+            assert not isinstance(want, str), (c, i, want)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g[i], w[0])
+
+
+@pytest.mark.parametrize("variant", ["A", "B"])
+@pytest.mark.parametrize("sigma2", 10.0 ** np.arange(-8, 9, 2))
+def test_claims_bridges_compiled_by_kernel_group_match_integrate(sigma2, variant):
+    # the tail curve's bridges, from point masses at the ultimates (sigma2
+    # 1e-8, the saddle-point form) to nearly flat tails (1e8, the plain form)
+    family, measures = build_bridge_sample(_CLAIMS, 40, sigma2, variant)
+    assert_matches_oracle(family, measures, _CLAIMS_C, rule=_compiled_fresh(family, measures))

@@ -328,6 +328,50 @@ def test_an_exact_zero_score_at_a_bracket_end_is_the_estimate(method, bracket):
     assert res.iterations == 2
 
 
+class _Scores:
+    """A stand-in evaluator for ``_newton``: the summed score and its slope at c, from ``score``.
+
+    ``point(c)`` is None where ``finite(c)`` is false, as where a loss underflows.
+    """
+
+    def __init__(self, score, finite=lambda c: True):
+        self.score, self.finite = score, finite
+
+    def point(self, c):
+        return estimator._Point(c, 0.0, *self.score(c)) if self.finite(c) else None
+
+
+def test_newton_stops_once_the_bracket_is_within_param_tol():
+    # a score that jumps from -1 to 1 at 0.3 has no slope, so no Newton step:
+    # bisection narrows the bracket until it is within param_tol
+    config = OptimizerConfig()
+    scores = _Scores(lambda c: (-1.0 if c < 0.3 else 1.0, 0.0))
+    point, converged = estimator._newton(scores, 0.0, scores.point(0.0), 1.0, scores.point(1.0),
+                                         False, config, True)
+    assert converged and abs(point.c - 0.3) <= config.param_tol
+
+
+def test_newton_moves_an_end_that_is_not_finite_onto_a_point_that_is_not_either():
+    # the Newton step from -3 leaves the bracket and the first midpoint, 3.5,
+    # lies where the loss is not finite: it becomes the upper end, and the
+    # solve then converges on the root at 1
+    scores = _Scores(lambda c: (math.tanh(c - 1.0), 1.0 - math.tanh(c - 1.0) ** 2),
+                     finite=lambda c: c < 2.0)
+    point, converged = estimator._newton(scores, -3.0, scores.point(-3.0), 10.0, None,
+                                         False, OptimizerConfig(), True)
+    assert converged and point.c == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_newton_finds_no_root_where_the_score_keeps_its_sign_up_to_a_loss_that_is_not_finite(sign):
+    # the score keeps one sign up to 2, beyond which (below which, for a
+    # positive score) the loss is not finite: each end closes on 2 until the
+    # midpoint of the bracket is one of its ends, and there is no root
+    scores = _Scores(lambda c: (sign, 0.0), finite=lambda c: sign * (c - 2.0) > 0.0)
+    ends = (0.0, scores.point(0.0), 10.0, None) if sign < 0 else (0.0, None, 10.0, scores.point(10.0))
+    assert estimator._newton(scores, *ends, False, OptimizerConfig(), True) is None
+
+
 def _exp_censored_sample(seed):
     # exponential draws, a third of them right-censored at the draw
     xs = np.random.default_rng(seed).exponential(2.0, size=60)
