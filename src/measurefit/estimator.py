@@ -74,11 +74,11 @@ class OptimizerConfig:
     fd_step_rel: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.param_tol <= 0 or self.objective_tol <= 0:
+        if not (self.param_tol > 0 and self.objective_tol > 0):  # nan fails too
             raise ValueError("tolerances must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.fd_step_rel <= 0:
+        if not self.fd_step_rel > 0:
             raise ValueError("fd_step_rel must be positive")
         if self.bracket is not None and not self.bracket[0] < self.bracket[1]:
             raise ValueError("bracket must be an increasing pair")

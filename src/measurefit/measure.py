@@ -467,8 +467,11 @@ def _column_kernel(kernels, repeats=1):
     """One kernel whose fields are columns, kernel i's repeated ``repeats`` (or ``repeats[i]``) times.
 
     Its methods evaluate each row at that row of their argument. The kernels
-    passed the checks, which are not run again.
+    passed the checks, which are not run again. One kernel is returned as it
+    is: its methods give every row the same values, and cost less.
     """
+    if len(kernels) == 1:
+        return kernels[0]
     cls = type(kernels[0])
     return _instances(cls, **{f.name: [np.repeat([getattr(k, f.name) for k in kernels],
                                                  repeats)[:, None]] for f in fields(cls)})[0]
@@ -515,6 +518,36 @@ def ramp_cut(family, comp: CdfRamp, quad: QuadratureSpec, c: float | None = None
     return lo
 
 
+class _PanelEntry(NamedTuple):
+    """The compile-time panels of one density or ramp component, read-only.
+
+    ``knots`` bound the panels (empty where the truncated domain is), and
+    ``weights`` holds one row per panel of c-free node weights at its 21
+    high-rule and then 10 low-rule Gauss nodes: the Gauss weight times the
+    component's weight function and the family's density factor e^h there.
+    The entries ``integrate`` makes hold knots only, ``weights`` None, until
+    a compile adds its rows; those of components a compile takes in closed
+    form stay so, and serve ``integrate`` at later c.
+    """
+
+    knots: np.ndarray
+    weights: np.ndarray | None
+
+
+# The panel entries of every live density or ramp component, one per
+# (family, quadrature spec); a component's entries die with it. Equal
+# components share entries, since an entry depends on nothing else.
+_PANEL_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _memo_knots(family, comp, quad: QuadratureSpec, knots_of) -> np.ndarray:
+    """The component's c-free knots from its memo entry, or ``knots_of()`` kept in a new one."""
+    entries = _PANEL_MEMO.setdefault(comp, {})
+    if (family, quad) not in entries:
+        entries[family, quad] = _PanelEntry(knots_of(), None)
+    return entries[family, quad].knots
+
+
 def _knots_integral(family, c: float, knots: np.ndarray, weight_fn,
                     quad: QuadratureSpec) -> float:
     """The integral of the family density at c times ``weight_fn`` over the knots; 0 if none.
@@ -533,7 +566,8 @@ def _knots_integral(family, c: float, knots: np.ndarray, weight_fn,
 
 def _density_component_integral(family, c: float, comp: WeightedDensity,
                                 quad: QuadratureSpec) -> float:
-    knots = density_knots(family, [comp], comp.kernel, quad)[0]
+    knots = _memo_knots(family, comp, quad,
+                        lambda: density_knots(family, [comp], comp.kernel, quad)[0])
     return comp.weight * _knots_integral(family, c, knots, comp.kernel.pdf, quad)
 
 
@@ -542,8 +576,10 @@ def _ramp_component_integral(family, c: float, comp: CdfRamp,
     # integral of f_c * G == survival of the family at the cut minus the
     # integral of f_c * (1 - G); the second factor decays like the kernel
     # survival, which makes the domain truncatable.
-    lo = ramp_cut(family, comp, quad, c)
-    knots = _kernel_knots(comp.kernel, lo, quad)[0]
+    cut = ramp_cut(family, comp, quad)  # None where the cut, and so the knots, move with c
+    lo = ramp_cut(family, comp, quad, c) if cut is None else cut
+    knots_of = lambda: _kernel_knots(comp.kernel, lo, quad)[0]
+    knots = knots_of() if cut is None else _memo_knots(family, comp, quad, knots_of)
     return float(family.survival(c, lo)) - _knots_integral(family, c, knots, comp.kernel.sf, quad)
 
 
@@ -553,8 +589,9 @@ def integrate(family, c: float, measure: RandomMeasure,
 
     Dirac atoms evaluate the density, constant tails use the analytic
     survival function, density and ramp components go through adaptive
-    quadrature with tail truncation. Quadrature failure raises rather than
-    returning a silently wrong value.
+    quadrature with tail truncation, on knots kept in ``_PANEL_MEMO`` while
+    the component lives. Quadrature failure raises rather than returning a
+    silently wrong value.
     """
     family.check_param(c)
     value = 0.0
@@ -578,36 +615,9 @@ def integrate(family, c: float, measure: RandomMeasure,
 # compiled integration: one sample, many parameter values
 
 
-def _split_rule(lo: np.ndarray, hi: np.ndarray, t: np.ndarray, weights: np.ndarray) -> tuple:
-    """A component's rule as ``_Panels.pack`` takes it, from t and weights at each panel's 31 nodes."""
-    n = HIGH_ORDER
-    return lo, hi, t[:, :n], weights[:, :n], t[:, n:], weights[:, n:]
-
-
 _EVERY = slice(None)
 _NO_KNOTS = np.empty(0)
-_NO_PANELS = _split_rule(_NO_KNOTS, _NO_KNOTS, *gauss_rule(_NO_KNOTS, _NO_KNOTS))
-_NO_ENTRIES = MappingProxyType({})
-
-
-class _PanelEntry(NamedTuple):
-    """The compile-time panels of one density or ramp component, read-only.
-
-    ``knots`` bound the panels (empty where the truncated domain is), and
-    ``weights`` holds one row per panel of c-free node weights at its 21
-    high-rule and then 10 low-rule Gauss nodes: the Gauss weight times the
-    component's weight function and the family's density factor e^h there.
-    An entry made in a rule's compile views its rows of that rule's weights.
-    """
-
-    knots: np.ndarray
-    weights: np.ndarray
-
-
-# The panel entries of every live density or ramp component, one per
-# (family, quadrature spec); a component's entries die with it. Equal
-# components share entries, since an entry depends on nothing else.
-_PANEL_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_NO_ROWS = gauss_rule(_NO_KNOTS, _NO_KNOTS)  # t and weights of no panels, (0 x 31) each
 
 
 def closed_form_terms(family, kind: str, c: float, columns) -> tuple:
@@ -644,26 +654,39 @@ def closed_form_terms(family, kind: str, c: float, columns) -> tuple:
     return w, z, dz
 
 
-def _split_at(lo: np.ndarray, hi: np.ndarray, knots: np.ndarray, width: float):
-    """Panels [lo_i, hi_i], each one wider than ``width`` cut at the knots inside it."""
+def _split_at(lo: np.ndarray, hi: np.ndarray, knots: np.ndarray):
+    """The mask of panels wider than the knots' spacing, and their pieces (lo, hi, panel)."""
     inside = np.searchsorted(knots, hi, "left") - np.searchsorted(knots, lo, "right")
-    wide = (inside > 0) & (hi - lo > width)
-    if not wide.any():
-        return lo, hi
+    wide = (inside > 0) & (hi - lo > np.diff(knots).min(initial=math.inf))
     cuts = [np.concatenate(([a], knots[(knots > a) & (knots < b)], [b]))
             for a, b in zip(lo[wide], hi[wide])]
-    return (np.concatenate([lo[~wide], *(p[:-1] for p in cuts)]),
-            np.concatenate([hi[~wide], *(p[1:] for p in cuts)]))
+    return (wide, np.concatenate([_NO_KNOTS, *(p[:-1] for p in cuts)]),
+            np.concatenate([_NO_KNOTS, *(p[1:] for p in cuts)]),
+            np.repeat(np.flatnonzero(wide), inside[wide] + 1))
+
+
+def _grouped(pairs) -> dict:
+    """The values of ``(key, value)`` pairs listed by key, in order."""
+    groups = {}
+    for key, value in pairs:
+        groups.setdefault(key, []).append(value)
+    return groups
+
+
+def _weight_fn(group, kernel):
+    """The weight function of a panel component in ``group``: its kernel's pdf, or sf for a ramp."""
+    return kernel.pdf if group[0] is WeightedDensity else kernel.sf
 
 
 class _Panels(NamedTuple):
-    """The panels of a rule's components, packed flat.
+    """A rule's panels as one flat table: row i is panel [lo_i, hi_i] of component ``comp[i]``.
 
-    Component k owns panels ``starts[k]`` up to ``ends[k]``; ``stat`` holds
-    the node statistics t at the high-rule nodes, then at the low-rule
-    nodes, so one density call covers both, each part contiguous.
+    Rows are in component order, component k's from ``starts[k]``, with c-free
+    weights at their 21 high-rule (``w_high``) and 10 low-rule (``w_low``) Gauss
+    nodes; ``stat`` holds t at all high-rule, then all low-rule nodes, each contiguous.
     """
 
+    comp: np.ndarray
     starts: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
@@ -672,29 +695,18 @@ class _Panels(NamedTuple):
     stat: np.ndarray
 
     @classmethod
-    def pack(cls, rules) -> _Panels:
-        """Concatenate the components' rules, as ``PanelRule._component_rule`` returns them."""
-        lo, hi, t_high, w_high, t_low, w_low = (
-            [np.concatenate(col) for col in zip(*rules)] if rules else _NO_PANELS)
-        starts = np.cumsum([0] + [len(r[0]) for r in rules], dtype=np.intp)[:-1]
-        return cls(starts, lo, hi, w_high, w_low, np.concatenate([t_high, t_low], axis=None))
+    def of(cls, comp, lo, hi, t_high, t_low, w_high, w_low) -> _Panels:
+        """The table of rows with t and weights at their high- and low-rule nodes, by ``comp``."""
+        starts = np.flatnonzero(np.diff(comp, prepend=-1))  # each component's first row
+        stat = np.concatenate([t_high, t_low], axis=None)
+        return cls(comp, starts, lo, hi, w_high, w_low, stat)
 
-    def rules(self) -> list:
-        """The components' rules, as ``pack`` takes them."""
+    def columns(self) -> list:
+        """The columns, as ``of`` takes them."""
         n = self.w_high.size
         t_high = self.stat[:n].reshape(self.w_high.shape)
         t_low = self.stat[n:].reshape(self.w_low.shape)
-        return [(self.lo[s:e], self.hi[s:e], t_high[s:e], self.w_high[s:e],
-                 t_low[s:e], self.w_low[s:e]) for s, e in zip(self.starts, self.ends)]
-
-    @property
-    def ends(self) -> np.ndarray:
-        return np.append(self.starts[1:], len(self.lo))
-
-    def high_sums(self, node_values: np.ndarray) -> np.ndarray:
-        """Per-component high-rule sums of values given at the high-rule nodes."""
-        per_panel = node_values.reshape(self.w_high.shape) * self.w_high
-        return np.add.reduceat(per_panel.sum(axis=1), self.starts)
+        return [self.comp, self.lo, self.hi, t_high, t_low, self.w_high, self.w_low]
 
 
 class PanelRule:
@@ -712,17 +724,17 @@ class PanelRule:
     node statistic t (see ``models``). A ``KernelSample`` of closed-form
     terms hands over its columns as they are.
 
+    The panels are one flat table, ``_Panels``. The compile, the peak cut
+    and refinement get new rows from one builder, ``_node_rows``: one
+    ``gauss_rule``, ``node_form`` and kernel-group weight-function call over
+    (component, lo, hi) rows. A component's new rows follow its kept ones.
+
     A panel component's compile-time knots and node weights depend only on
     the component, the family and the ``QuadratureSpec``, so they are
-    computed once per live component and kept in ``_PANEL_MEMO``: a later
-    rule on the same or equal components, under an equal family and
-    quadrature, reads them from there, bit-identical to a fresh compile. An
-    entry dies with its component, and nothing the rule refines is written
-    back to it. The components the memo lacks are compiled in one pass per
-    kernel group (the densities, or the ramps, of one kernel class): one
-    ``ppf`` call for the knots of all of them, and one weight-function call
-    at the nodes of all their panels. One ``gauss_rule`` and one
-    ``node_form`` call over every panel give t, and e^h for the new weights.
+    computed once per live component and kept in ``_PANEL_MEMO`` (knots by
+    one ``ppf`` call per kernel group), where a later rule on the same or
+    equal components reads them, bit-identical to a fresh compile. An entry
+    dies with its component, and nothing the rule refines is written back.
 
     Every evaluation computes all three terms. ``losses(c)`` returns W =
     -log I(c), Z = dW/dc and Z' = dZ/dc of every measure. A measure of one
@@ -744,7 +756,7 @@ class PanelRule:
     its refined panels, with t at their nodes, for later c; where that
     fails, it is refined once more from its compile-time panels before the
     error is raised, so a rule's history never makes it fail where
-    ``integrate`` succeeds. The panels are one immutable ``_Panels`` value.
+    ``integrate`` succeeds. No evaluation changes a table in place.
     Under a family whose density peaks inside its support (the normal
     location) the peak knots at c are cut into every panel wider than their
     spacing before the check, since Gauss nodes straddling a narrow peak
@@ -788,9 +800,9 @@ class PanelRule:
         """The rule of the resample ``[measures[i] for i in indices]``, without compiling it.
 
         The resample's measures are compiled already: the new rule keeps the
-        closed-form terms and the panels, weight functions, knots and scales
-        of each measure drawn at least once, in this rule's order, and maps
-        each index to its measure. Every value of a measure is computed from
+        closed-form terms and the panels, kernels, knots and scales of each
+        measure drawn at least once, in this rule's order, and maps each
+        index to its measure. Every value of a measure is computed from
         that measure's terms alone, so taken from a rule not yet evaluated,
         the values are bit-identical to those of ``PanelRule(family,
         resample)``. Panels this rule refined are taken as they are, which
@@ -819,10 +831,12 @@ class PanelRule:
         rule._direct, rule._mixed = groups(self._direct), groups(self._mixed)
         rule._linear = new_slot[self._linear[keep[self._linear]]]
         rule._scale = self._scale[kept]
-        rule._weight_fns = [g for g, k in zip(self._weight_fns, kept) if k]
+        rule._kernels = [x for x, k in zip(self._kernels, kept) if k]
         rule._knots = [x for x, k in zip(self._knots, kept) if k]
         rule._owner = new_slot[self._owner[kept]]
-        rule._panels = _Panels.pack([r for r, k in zip(self._panels.rules(), kept) if k])
+        rows = kept[self._panels.comp]
+        comp, *columns = (column[rows] for column in self._panels.columns())
+        rule._panels = _Panels.of((np.cumsum(kept) - 1)[comp], *columns)
         return rule
 
     def _covers(self, sample: KernelSample) -> bool:
@@ -868,7 +882,7 @@ class PanelRule:
                     mixed["tail"].append((slot, comp.lower, comp.height))
             elif isinstance(comp, WeightedDensity):
                 if comp.weight > 0:
-                    comps.append((slot, comp.weight, comp.kernel.pdf, comp))
+                    comps.append((slot, comp.weight, comp))
             elif isinstance(comp, CdfRamp):
                 lo = ramp_cut(family, comp, quad)
                 if lo is None:
@@ -877,67 +891,46 @@ class PanelRule:
                     mixed["ramp"].append((slot, kernel.mean, math.hypot(family.sigma1, kernel.sd)))
                     continue
                 mixed["tail"].append((slot, lo, 1.0))
-                comps.append((slot, -1.0, comp.kernel.sf, comp))
+                comps.append((slot, -1.0, comp))
             else:
                 raise TypeError(f"unknown measure component {comp!r}")
 
     def _compile_panels(self, comps) -> None:
-        """Compile the panels of the components ``(slot, scale, weight_fn, comp)``.
+        """Compile the panels of the components ``(slot, scale, comp)``.
 
-        Each component's knots and node weights are read from ``_PANEL_MEMO``.
-        Those it holds no entry for under this family and quadrature are
-        compiled, and stored, by kernel group (the densities, or the ramps, of
-        one kernel class): ``_group_knots`` gives their knots, and one call of
-        the group's column kernel pdf or sf its weight functions at the nodes
-        of their panels. One ``gauss_rule`` and one ``node_form`` call over the
-        panels of all components give t and e^h. Every step is elementwise, so
-        an entry is bit-identical to that of a one-component compile.
-        Components whose domain is empty get no panels.
+        Knots and node weights come from ``_PANEL_MEMO``, missing knots from
+        ``_group_knots`` per kernel group and missing weights from ``_node_rows``;
+        every step is elementwise, so an entry equals a one-component compile's
+        bit for bit. Empty domains get no panels; without panels no builder runs.
         """
-        family, key = self.family, (self.family, self.quad)
-        entries = [_PANEL_MEMO.get(comp, _NO_ENTRIES).get(key) for *_, comp in comps]
-        groups = {}  # the components the memo lacks, by kernel group
-        for k, (*_, comp) in enumerate(comps):
-            if entries[k] is None:
-                groups.setdefault((type(comp), type(comp.kernel)), []).append(k)
-        knots = [entry and entry.knots for entry in entries]
-        for (kind, _), ks in groups.items():
-            for k, x in zip(ks, self._group_knots(kind, [comps[k][3] for k in ks])):
-                x.flags.writeable = False
-                knots[k] = x
-        kept = [k for k, x in enumerate(knots) if len(x)]
-        sizes = np.array([len(knots[k]) - 1 for k in kept], dtype=np.intp)
-        starts = np.cumsum(sizes) - sizes
-        rows = dict(zip(kept, zip(starts.tolist(), (starts + sizes).tolist())))  # each one's panels
-        lo = np.concatenate([_NO_KNOTS, *(knots[k][:-1] for k in kept)])
-        hi = np.concatenate([_NO_KNOTS, *(knots[k][1:] for k in kept)])
-        nodes, gauss = gauss_rule(lo, hi)  # the Gauss weights times the weight functions, in place
-        for (kind, _), ks in groups.items():
-            if ks := [k for k in ks if k in rows]:
-                counts = [e - s for s, e in map(rows.get, ks)]
-                panels = _EVERY if sum(counts) == len(lo) else np.concatenate(
-                    [np.arange(*rows[k]) for k in ks])
-                kernel = _column_kernel([comps[k][3].kernel for k in ks], counts)
-                gauss[panels] *= (kernel.pdf if kind is WeightedDensity else kernel.sf)(nodes[panels])
-        t, e_h = family.node_form(nodes)
-        # the two arrays the rule keeps come last, so the temporaries freed
-        # below them leave room for those of its evaluations
-        weights = np.multiply(gauss, e_h)
-        _, _, t_high, w_high, t_low, w_low = _split_rule(lo, hi, t, weights)
-        stat = np.concatenate([t_high, t_low], axis=None)
-        for k, (*_, comp) in enumerate(comps):
-            s, e = rows.get(k, (0, 0))
-            if entries[k] is None:  # the new rows are the entry's
-                entries[k] = _PanelEntry(knots[k], weights[s:e])
-                entries[k].weights.flags.writeable = False
-                _PANEL_MEMO.setdefault(comp, {})[key] = entries[k]
-            else:
-                weights[s:e] = entries[k].weights
+        key = (self.family, self.quad)
+        entries = [_PANEL_MEMO.get(comp, {}).get(key) for *_, comp in comps]
+        knots = {k: entry.knots for k, entry in enumerate(entries) if entry}
+        kinds = [(type(comp), type(comp.kernel)) for *_, comp in comps]
+        missing = _grouped((kinds[k], k) for k, entry in enumerate(entries) if entry is None)
+        for (kind, _), ks in missing.items():  # by kernel group
+            knots.update(zip(ks, self._group_knots(kind, [comps[k][2] for k in ks])))
+        new = [entry is None or entry.weights is None for entry in entries]
+        kept = [k for k in range(len(comps)) if len(knots[k])]
         self._scale = np.array([comps[k][1] for k in kept], dtype=float)
-        self._weight_fns = [comps[k][2] for k in kept]
+        self._kernels = [(kinds[k], comps[k][2].kernel) for k in kept]
         self._knots = [knots[k] for k in kept]  # the compile-time panels
         self._owner = np.array([comps[k][0] for k in kept], dtype=np.intp)
-        self._panels = _Panels(starts, lo, hi, w_high, w_low, stat)
+        sizes = [len(x) - 1 for x in self._knots]
+        comp = np.repeat(np.arange(len(kept)), sizes)
+        lo = np.concatenate([_NO_KNOTS, *(x[:-1] for x in self._knots)])
+        hi = np.concatenate([_NO_KNOTS, *(x[1:] for x in self._knots)])
+        t, weights = self._node_rows(comp, lo, hi, np.array(new)[kept]) if kept else _NO_ROWS
+        own = {k: weights[e - n:e] for k, n, e in zip(kept, sizes, np.cumsum(sizes).tolist())}
+        for k, (*_, c) in enumerate(comps):
+            if new[k]:  # the new rows are the entry's
+                rows = own.get(k, weights[:0])
+                rows.flags.writeable = False
+                _PANEL_MEMO.setdefault(c, {})[key] = _PanelEntry(knots[k], rows)
+            elif k in own:
+                own[k][:] = entries[k].weights
+        h = HIGH_ORDER
+        self._panels = _Panels.of(comp, lo, hi, t[:, :h], t[:, h:], weights[:, :h], weights[:, h:])
 
     def _group_knots(self, kind, group) -> list[np.ndarray]:
         """The compile-time knots of a kernel group's densities, or ramps with a finite cut."""
@@ -947,17 +940,36 @@ class PanelRule:
             return density_knots(family, group, kernel, quad)
         return _kernel_knots(kernel, [ramp_cut(family, comp, quad) for comp in group], quad)
 
-    def _component_rule(self, weight_fn, lo: np.ndarray, hi: np.ndarray):
-        """Panels, node statistics t and c-free weights of one component.
+    def _node_rows(self, comp, lo, hi, weigh=True) -> tuple[np.ndarray, np.ndarray]:
+        """t and c-free weights at the 31 Gauss nodes of panels [lo_i, hi_i] of components comp_i.
 
-        A node's weight is its Gauss weight times the component's weight
-        function and the family's density factor e^h at the node.
+        ``comp`` is nondecreasing. A weight is the Gauss weight times e^h and, for
+        components ``weigh`` flags (one flag, or one per component), the weight function.
         """
-        x, weights = gauss_rule(lo, hi)
-        t, e_h = self.family.node_form(x)
-        weights *= weight_fn(x)
-        weights *= e_h
-        return _split_rule(lo, hi, t, weights)
+        nodes, weights = gauss_rule(lo, hi)
+        counts = np.bincount(comp)  # each component's rows
+        weighed = np.flatnonzero(counts * weigh).tolist()
+        for group, ks in _grouped((self._kernels[k][0], k) for k in weighed).items():
+            rows = _EVERY if counts[ks].sum() == len(lo) else np.isin(comp, ks)
+            kernel = _column_kernel([self._kernels[k][1] for k in ks], counts[ks])
+            weights[rows] *= _weight_fn(group, kernel)(nodes[rows])
+        t, e_h = self.family.node_form(nodes)
+        # the weights the rule keeps come last, so the temporaries freed below
+        # them leave room for those of its evaluations
+        return t, np.multiply(weights, e_h)
+
+    def _joined(self, panels: _Panels, keep, comp, lo, hi) -> _Panels:
+        """The rows ``keep`` of the panels and new rows (comp_i, lo_i, hi_i), by component.
+
+        A component's new rows follow its kept ones: the rows are sorted stably by
+        component, the rows not kept given one past the last and left out.
+        """
+        t, w, h = *self._node_rows(comp, lo, hi), HIGH_ORDER
+        new = (comp, lo, hi, t[:, :h], t[:, h:], w[:, :h], w[:, h:])
+        key = np.concatenate([np.where(keep, panels.comp, len(self._knots)), comp])
+        order = np.argsort(key, kind="stable")[:len(comp) + np.count_nonzero(keep)]
+        return _Panels.of(*(np.concatenate([old, rows])[order]
+                            for old, rows in zip(panels.columns(), new)))
 
     @property
     def panels(self) -> int:
@@ -1048,11 +1060,14 @@ class PanelRule:
             panels, totals = self._refine(c, panels, np.flatnonzero(failing), totals, high, err)
             self._panels = panels
             dens = np.exp(family.node_log_density(c, panels.stat))  # at the refined nodes
-        n = panels.w_high.size
+            n = panels.w_high.size
         dens, score = dens[:n], family.node_score(c, panels.stat[:n])
         grad = dens * score
-        terms = [totals, panels.high_sums(grad),
-                 panels.high_sums(grad * score + dens * family.log_density_hess(c))]
+        terms = [totals]
+        for values in (grad, grad * score + dens * family.log_density_hess(c)):
+            # per component, the high-rule sums of I' and I''
+            per_panel = (values.reshape(panels.w_high.shape) * panels.w_high).sum(axis=1)
+            terms.append(np.add.reduceat(per_panel, panels.starts))
         return [self._scale * values for values in terms]
 
     def _cut_at_peak(self, c: float, panels: _Panels) -> _Panels:
@@ -1060,25 +1075,22 @@ class PanelRule:
         peak = self.family.peak_knots(c)
         if not (peak.size and len(panels.lo)):
             return panels
-        width = float(np.diff(peak).min())
-        if len(_split_at(panels.lo, panels.hi, peak, width)[0]) == len(panels.lo):
+        wide, lo, hi, cut = _split_at(panels.lo, panels.hi, peak)
+        if not wide.any():
             return panels
-        rules = panels.rules()
-        for k, rule in enumerate(rules):
-            lo, hi = _split_at(rule[0], rule[1], peak, width)
-            if len(lo) > len(rule[0]):
-                rules[k] = self._component_rule(self._weight_fns[k], lo, hi)
-        return _Panels.pack(rules)
+        return self._joined(panels, ~wide, panels.comp[cut], lo, hi)
 
     def _refine(self, c: float, panels: _Panels, failing: np.ndarray, totals: np.ndarray,
                 high: np.ndarray, err: np.ndarray) -> tuple[_Panels, np.ndarray]:
         """Bisect the failing components at c; the new panels and every component's total."""
         family = self.family
         peak = family.peak_knots(c)
-        rules, ends = panels.rules(), panels.ends
-        totals = totals.copy()
+        totals, kept = totals.copy(), np.ones(len(self._knots), dtype=bool)
+        kept[failing] = False
+        new = []  # the refined components' (comp, lo, hi)
         for k in failing:
-            g, s, e = self._weight_fns[k], panels.starts[k], ends[k]
+            g = _weight_fn(*self._kernels[k])
+            s, e = np.searchsorted(panels.comp, (k, k + 1))
             integrand = lambda x: family.density(c, x) * g(x)
             try:
                 totals[k], lo, hi = refine_panels(integrand, panels.lo[s:e], panels.hi[s:e],
@@ -1086,12 +1098,13 @@ class PanelRule:
             except QuadratureError:
                 # panels refined at earlier c can stall where the compile-time
                 # panels do not: refine once from those, as ``integrate`` does
-                knots = self._knots[k]
-                lo, hi = knots[:-1], knots[1:]
-                if peak.size:
-                    lo, hi = _split_at(lo, hi, peak, float(np.diff(peak).min()))
+                lo, hi = self._knots[k][:-1], self._knots[k][1:]
+                wide, cut_lo, cut_hi, _ = _split_at(lo, hi, peak)
+                lo = np.concatenate([lo[~wide], cut_lo])
+                hi = np.concatenate([hi[~wide], cut_hi])
                 if e - s == len(lo):  # no earlier refinement to undo
                     raise
                 totals[k], lo, hi = refine_panels(integrand, lo, hi, self.quad)
-            rules[k] = self._component_rule(g, lo, hi)
-        return _Panels.pack(rules), totals
+            new.append((np.full(len(lo), k), lo, hi))
+        comp, lo, hi = map(np.concatenate, zip(*new))
+        return self._joined(panels, kept[panels.comp], comp, lo, hi), totals

@@ -153,7 +153,7 @@ def domain_knots(lo, hi, quantiles=None) -> list[np.ndarray]:
     both edges (the family density can concentrate the product near either
     end when the interval spans many orders of magnitude). Points outside a
     domain become repeats of hi, and each row is sorted and rid of repeats on
-    its own; an empty domain (not hi > lo) gets no knots.
+    its own; an empty domain (not hi > lo) gets no knots. The knots are read-only.
     """
     lo, hi = np.asarray(lo, dtype=float).reshape(-1, 1), np.asarray(hi, dtype=float).reshape(-1, 1)
     width = hi - lo
@@ -167,4 +167,5 @@ def domain_knots(lo, hi, quantiles=None) -> list[np.ndarray]:
     keep = np.concatenate([ok, (rows[:, 1:] != rows[:, :-1]) & ok], axis=1)
     ends = keep.sum(axis=1).cumsum().tolist()
     flat = rows[keep]
+    flat.flags.writeable = False
     return [flat[s:e] for s, e in zip([0, *ends], ends)]

@@ -46,6 +46,21 @@ from measurefit.quadrature import DEFAULT_QUAD, QuadratureError
 from measurefit.tailstudy import build_bridge_sample, synthesize_claims
 
 
+def _on_own_knots(fn):
+    """``fn`` run with an empty panel memo, so that it computes its own knots, none a compile made."""
+    def oracle(*args, **kwargs):
+        memo, measure._PANEL_MEMO = measure._PANEL_MEMO, weakref.WeakKeyDictionary()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            measure._PANEL_MEMO = memo
+    return oracle
+
+
+# the oracle: adaptive integration, independent of every rule compiled before
+integrate, w_value = _on_own_knots(integrate), _on_own_knots(w_value)
+
+
 def hexes(*values):
     return [float(v).hex() for v in values]
 
@@ -632,6 +647,101 @@ def test_a_refinement_where_the_peak_cut_applies_keeps_the_cut(monkeypatch):
     rule = assert_matches_oracle(family, measures, np.linspace(-40.0, 40.0, 81))
     assert any(on_cut)
     assert rule.panels > PanelRule(family, measures).panels
+
+
+def assert_equals_one_measure_rules(family, measures, cs):
+    """``losses`` and ``integrals_with_hess`` of a rule on the measures, at each c, as on each alone."""
+    rule = PanelRule(family, measures)
+    singles = [PanelRule(family, [m]) for m in measures]
+    for c in cs:
+        got = rule.losses(c) + rule.integrals_with_hess(c)
+        for i, single in enumerate(singles):
+            want = single.losses(c) + single.integrals_with_hess(c)
+            assert [hexes(g[i]) for g in got] == [hexes(w[0]) for w in want], (c, i)
+    return rule
+
+
+def test_one_c_refines_components_of_two_kernel_groups_together(monkeypatch):
+    # at c = 0.075 a restricted gamma density (a bridge at sigma2 = 100) and a
+    # gamma CDF ramp both fail their check; one builder call makes the refined
+    # rows of both kernel groups, each bit-identical to a one-measure rule's
+    family = ParetoTail(x0=1.0)
+    measures = [make_gamma_bridge(1.6, 4.0, 100.0, "A"),
+                make_measurement_uncertainty(GammaKernel(0.05, 0.1, 3.0), 0)]
+    refine, groups = PanelRule._refine, []
+
+    def spy(self, c, panels, failing, *args):
+        groups.append({self._kernels[k][0] for k in failing})
+        return refine(self, c, panels, failing, *args)
+
+    monkeypatch.setattr(PanelRule, "_refine", spy)
+    sizes = PanelRule(family, measures).panels
+    rule = assert_equals_one_measure_rules(family, measures, (1e-3, 0.075, 8.66))
+    assert {(WeightedDensity, GammaKernel), (CdfRamp, GammaKernel)} in groups
+    assert rule.panels > sizes
+    assert_matches_oracle(family, measures, [0.075, 0.5], rule=rule)
+
+
+def test_the_peak_cut_splits_panels_of_several_components_at_one_c(monkeypatch):
+    # under the normal location every c cuts the family's peak knots into
+    # wide panels of a restricted normal density, a restricted gamma density
+    # and a gamma ramp at once; the cut rows come from one builder call and
+    # every value equals that of a one-measure rule bit for bit
+    family = NormalLocation(sigma1=1.3)
+    measures = [RandomMeasure((WeightedDensity(1.0, NormalKernel(0.0, 1000.0), lower=-3000.0),)),
+                RandomMeasure((WeightedDensity(1.0, GammaKernel(2.0, 0.01, -100.0), lower=-50.0),)),
+                make_measurement_uncertainty(GammaKernel(3.0, 0.05, -20.0), 0)]
+    cut, grown = PanelRule._cut_at_peak, []
+
+    def spy(self, c, panels):
+        out = cut(self, c, panels)
+        n = len(self._knots)
+        grown.append(int((np.bincount(out.comp, minlength=n)
+                          > np.bincount(panels.comp, minlength=n)).sum()))
+        return out
+
+    monkeypatch.setattr(PanelRule, "_cut_at_peak", spy)
+    rule = assert_equals_one_measure_rules(family, measures, (-20.0, 0.0, 5.0))
+    assert max(grown) == len(measures)  # the cut grew the panels of every component at once
+    assert_matches_oracle(family, measures, [-5.0, 5.0], rule=rule)
+
+
+def test_integrate_keeps_each_components_knots_for_a_later_compile(monkeypatch):
+    # integrate computes a component's c-free knots once, in a knots-only
+    # memo entry: three c make one ppf call per kernel; a rule compiled
+    # afterwards computes no knots, adds its weights to those entries and
+    # equals a fresh compile bit for bit; the entries die with the measures
+    family = ParetoTail(x0=1.0)
+    measures = [make_gamma_bridge(1.6, 4.0, 0.5, "A"),
+                make_measurement_uncertainty(GammaKernel(3.0, 2.0, 1.0), 0)]
+    ppf, asked = GammaKernel.ppf, []
+
+    def counted(self, q):
+        asked.append(self)
+        return ppf(self, q)
+
+    monkeypatch.setattr(GammaKernel, "ppf", counted)
+    values = [measure.integrate(family, c, m) for c in (0.3, 1.5, 4.0) for m in measures]
+    assert len(asked) == 2 and all(v > 0 for v in values)
+    comps = [m.components[-1] for m in measures]
+    knots = [_entry(family, comp).knots for comp in comps]
+    assert all(_entry(family, comp).weights is None for comp in comps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PanelRule, "_group_knots", _no_entry)
+        rule = PanelRule(family, measures)
+    assert all(_entry(family, comp).knots is x for comp, x in zip(comps, knots))
+    assert len(asked) == 2
+    cs = [1e-3, 0.3, 1.5, 50.0]
+    want = _outcomes(_compiled_fresh(family, measures), cs)
+    for got, expected in zip(_outcomes(rule, cs), want):
+        for g, w in zip(got, expected):
+            np.testing.assert_array_equal(g, w)
+    assert all(np.array_equal(_entry(family, comp).knots, x) for comp, x in zip(comps, knots))
+    alive = [weakref.ref(comp) for comp in comps]
+    del measures, comps, rule
+    gc.collect()
+    assert not any(ref() for ref in alive)
+    assert len(measure._PANEL_MEMO) == 0
 
 
 _MEMO_FAMILIES = [ParetoTail(1.0), ExponentialRate(), NormalLocation(1.3)]

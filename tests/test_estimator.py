@@ -439,6 +439,14 @@ def test_fit_empty_sample_rejected(exp_family):
         fit(exp_family, [])
 
 
+@pytest.mark.parametrize("field", ["param_tol", "objective_tol", "fd_step_rel"])
+@pytest.mark.parametrize("value", [math.nan, 0.0, -1e-10])
+def test_optimizer_config_rejects_tolerances_that_are_not_positive(field, value):
+    # nan <= 0 is false, so a nan tolerance must fail a check written as not x > 0
+    with pytest.raises(ValueError):
+        OptimizerConfig(**{field: value})
+
+
 def test_fit_objective_infinite_everywhere(pareto_family):
     sample = [make_dirac(0.5)]  # below the threshold: zero density for every c
     with pytest.raises(FitError):
