@@ -681,32 +681,24 @@ def _weight_fn(group, kernel):
 class _Panels(NamedTuple):
     """A rule's panels as one flat table: row i is panel [lo_i, hi_i] of component ``comp[i]``.
 
-    Rows are in component order, component k's from ``starts[k]``, with c-free
-    weights at their 21 high-rule (``w_high``) and 10 low-rule (``w_low``) Gauss
-    nodes; ``stat`` holds t at all high-rule, then all low-rule nodes, each contiguous.
+    Rows are in component order, component k's from ``starts[k]``. ``t`` holds
+    the node statistic and ``w`` the c-free weights at each row's 21 high-rule
+    and then 10 low-rule Gauss nodes, each a C-contiguous (rows x 31) array, so
+    products over all nodes run on contiguous memory.
     """
 
     comp: np.ndarray
     starts: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    w_high: np.ndarray
-    w_low: np.ndarray
-    stat: np.ndarray
+    t: np.ndarray
+    w: np.ndarray
 
     @classmethod
-    def of(cls, comp, lo, hi, t_high, t_low, w_high, w_low) -> _Panels:
-        """The table of rows with t and weights at their high- and low-rule nodes, by ``comp``."""
+    def of(cls, comp, lo, hi, t, w) -> _Panels:
+        """The table of rows with t and weights at their nodes, by ``comp``."""
         starts = np.flatnonzero(np.diff(comp, prepend=-1))  # each component's first row
-        stat = np.concatenate([t_high, t_low], axis=None)
-        return cls(comp, starts, lo, hi, w_high, w_low, stat)
-
-    def columns(self) -> list:
-        """The columns, as ``of`` takes them."""
-        n = self.w_high.size
-        t_high = self.stat[:n].reshape(self.w_high.shape)
-        t_low = self.stat[n:].reshape(self.w_low.shape)
-        return [self.comp, self.lo, self.hi, t_high, t_low, self.w_high, self.w_low]
+        return cls(comp, starts, lo, hi, t, w)
 
 
 class PanelRule:
@@ -727,7 +719,8 @@ class PanelRule:
     The panels are one flat table, ``_Panels``. The compile, the peak cut
     and refinement get new rows from one builder, ``_node_rows``: one
     ``gauss_rule``, ``node_form`` and kernel-group weight-function call over
-    (component, lo, hi) rows. A component's new rows follow its kept ones.
+    (component, lo, hi) rows, whose t and weights the table keeps as the two
+    (rows x 31) arrays it returns. A component's new rows follow its kept ones.
 
     A panel component's compile-time knots and node weights depend only on
     the component, the family and the ``QuadratureSpec``, so they are
@@ -834,9 +827,9 @@ class PanelRule:
         rule._kernels = [x for x, k in zip(self._kernels, kept) if k]
         rule._knots = [x for x, k in zip(self._knots, kept) if k]
         rule._owner = new_slot[self._owner[kept]]
-        rows = kept[self._panels.comp]
-        comp, *columns = (column[rows] for column in self._panels.columns())
-        rule._panels = _Panels.of((np.cumsum(kept) - 1)[comp], *columns)
+        comp, _, *columns = self._panels
+        rows = kept[comp]
+        rule._panels = _Panels.of((np.cumsum(kept) - 1)[comp[rows]], *(x[rows] for x in columns))
         return rule
 
     def _covers(self, sample: KernelSample) -> bool:
@@ -924,13 +917,12 @@ class PanelRule:
         own = {k: weights[e - n:e] for k, n, e in zip(kept, sizes, np.cumsum(sizes).tolist())}
         for k, (*_, c) in enumerate(comps):
             if new[k]:  # the new rows are the entry's
-                rows = own.get(k, weights[:0])
+                rows = own.get(k, weights[:0]).copy()  # not a view that keeps all weights alive
                 rows.flags.writeable = False
                 _PANEL_MEMO.setdefault(c, {})[key] = _PanelEntry(knots[k], rows)
             elif k in own:
                 own[k][:] = entries[k].weights
-        h = HIGH_ORDER
-        self._panels = _Panels.of(comp, lo, hi, t[:, :h], t[:, h:], weights[:, :h], weights[:, h:])
+        self._panels = _Panels.of(comp, lo, hi, t, weights)
 
     def _group_knots(self, kind, group) -> list[np.ndarray]:
         """The compile-time knots of a kernel group's densities, or ramps with a finite cut."""
@@ -964,12 +956,11 @@ class PanelRule:
         A component's new rows follow its kept ones: the rows are sorted stably by
         component, the rows not kept given one past the last and left out.
         """
-        t, w, h = *self._node_rows(comp, lo, hi), HIGH_ORDER
-        new = (comp, lo, hi, t[:, :h], t[:, h:], w[:, :h], w[:, h:])
-        key = np.concatenate([np.where(keep, panels.comp, len(self._knots)), comp])
+        old_comp, _, *old = panels
+        key = np.concatenate([np.where(keep, old_comp, len(self._knots)), comp])
         order = np.argsort(key, kind="stable")[:len(comp) + np.count_nonzero(keep)]
-        return _Panels.of(*(np.concatenate([old, rows])[order]
-                            for old, rows in zip(panels.columns(), new)))
+        new = (comp, lo, hi, *self._node_rows(comp, lo, hi))
+        return _Panels.of(*(np.concatenate([a, b])[order] for a, b in zip((old_comp, *old), new)))
 
     @property
     def panels(self) -> int:
@@ -1041,15 +1032,17 @@ class PanelRule:
         return [values, -z * values, (z * z - dz) * values]
 
     def _panel_terms(self, c: float) -> list:
-        """I, I' and I'' of the panel components, cut at c's peak."""
-        family, quad = self.family, self.quad
+        """I, I' and I'' of the panel components, cut at c's peak.
+
+        With ``part`` the node density times the weight and s the node score, I'
+        sums part s over the high-rule nodes and I'' sums part s^2 plus score' I.
+        """
+        family, quad, h = self.family, self.quad, HIGH_ORDER
         panels = self._cut_at_peak(c, self._panels)
-        # the node density over e^h, which the weights carry
-        dens = np.exp(family.node_log_density(c, panels.stat))
-        n = panels.w_high.size  # the high-rule nodes come first
-        high = (dens[:n].reshape(panels.w_high.shape) * panels.w_high).sum(axis=1)
-        low = (dens[n:].reshape(panels.w_low.shape) * panels.w_low).sum(axis=1)
-        err = np.abs(high - low)
+        part = np.exp(family.node_log_density(c, panels.t))  # the node density over e^h,
+        part *= panels.w  # which the weights carry
+        high = part[:, :h].sum(axis=1)
+        err = np.abs(high - part[:, h:].sum(axis=1))
         totals = np.add.reduceat(high, panels.starts)
         errors = np.add.reduceat(err, panels.starts)
         tols = np.maximum(quad.abs_tol, quad.rel_tol * np.abs(totals))
@@ -1059,16 +1052,14 @@ class PanelRule:
         if failing.any():
             panels, totals = self._refine(c, panels, np.flatnonzero(failing), totals, high, err)
             self._panels = panels
-            dens = np.exp(family.node_log_density(c, panels.stat))  # at the refined nodes
-            n = panels.w_high.size
-        dens, score = dens[:n], family.node_score(c, panels.stat[:n])
-        grad = dens * score
-        terms = [totals]
-        for values in (grad, grad * score + dens * family.log_density_hess(c)):
-            # per component, the high-rule sums of I' and I''
-            per_panel = (values.reshape(panels.w_high.shape) * panels.w_high).sum(axis=1)
-            terms.append(np.add.reduceat(per_panel, panels.starts))
-        return [self._scale * values for values in terms]
+            part = np.exp(family.node_log_density(c, panels.t))  # at the refined nodes
+            part *= panels.w
+        score = family.node_score(c, panels.t[:, :h])
+        part = np.multiply(part[:, :h], score, out=part[:, :h])  # part s
+        score *= part  # part s^2
+        grad, hess = (np.add.reduceat(v.sum(axis=1), panels.starts) for v in (part, score))
+        hess += family.log_density_hess(c) * totals
+        return [self._scale * values for values in (totals, grad, hess)]
 
     def _cut_at_peak(self, c: float, panels: _Panels) -> _Panels:
         """The panels with the family's peak knots at c cut into those wider than their spacing."""

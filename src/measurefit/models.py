@@ -16,7 +16,8 @@ statistic t(x) and factor e^h(x) (0 below the support), from
 ``node_form``, and the rest, a cheap function of c and t: its log from
 ``node_log_density`` and the score from ``node_score``; the score's slope
 is ``log_density_hess``. A compiled rule keeps t at its Gauss nodes and
-folds e^h into their weights, so a density call there is one ``exp``:
+folds e^h into their weights, so a density call there is one ``exp``; as
+score' does not depend on x, the rule adds it once per integral, not per node:
 
 - Pareto: t = log(x / x0), e^h = 1 / x, log c - c t, score 1 / c - t;
 - exponential: t = x, e^h = 1, log c - c t, score 1 / c - t. A Pareto law

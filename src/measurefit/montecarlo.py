@@ -70,6 +70,8 @@ class StudyConfig:
             raise ValueError("replications must be at least 1")
         if not 0.0 < self.ci_level < 1.0:
             raise ValueError("ci_level must lie in (0, 1)")
+        if self.method not in (None, "minimize", "zroot"):
+            raise ValueError(f"unknown fit method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -248,6 +250,8 @@ def score_mean_at_limit(scenario: ExpGammaSpec | NormalNormalSpec, draws: int,
     The mean estimating function vanishes at the limit, so the returned
     mean should sit within a few SEs of zero.
     """
+    if draws < 2:
+        raise ValueError("draws must be at least 2")
     limit = _scenario_limit(scenario)
     if limit is None:
         raise ValueError("scenario has no analytic limit")
@@ -286,6 +290,8 @@ def verify_m_matrix(scenario: ExpGammaSpec | NormalNormalSpec,
     """
     if step <= 0:
         raise ValueError("step must be positive")
+    if draws < 2:
+        raise ValueError("draws must be at least 2")
     if isinstance(scenario, ExpGammaSpec):
         ch = eg_characteristics(scenario)
         candidates = {"confirmed": ch.slope, "variant": ch.slope_variant}

@@ -76,6 +76,13 @@ def assert_matches_oracle(family, measures, cs, quad=DEFAULT_QUAD, rule=None):
     return rule
 
 
+def assert_flat_rows(panels):
+    """The panels' node statistic and weights are C-contiguous float (rows x 31) arrays."""
+    for values in (panels.t, panels.w):
+        assert values.dtype == np.float64 and values.flags.c_contiguous
+        assert values.shape == (len(panels.lo), 31)
+
+
 def bracket_points(family, inner):
     """The family's default bracket ends plus the given interior values."""
     lo, hi = family.default_bracket()
@@ -238,6 +245,8 @@ def test_take_is_bit_identical_to_compiling_the_resample(family, measures, cs, r
             for a, b in [(taken.losses(c), fresh.losses(c)),
                          (taken.integrals_with_hess(c), fresh.integrals_with_hess(c))]:
                 assert [hexes(*v) for v in a] == [hexes(*v) for v in b], f"c = {c!r}"
+    for rule in [base, *(r for pair in pairs for r in pair)]:
+        assert_flat_rows(rule._panels)
     if refines:
         assert any(fresh.panels > n for (_, fresh), n in zip(pairs, sizes))
 
@@ -647,6 +656,7 @@ def test_a_refinement_where_the_peak_cut_applies_keeps_the_cut(monkeypatch):
     rule = assert_matches_oracle(family, measures, np.linspace(-40.0, 40.0, 81))
     assert any(on_cut)
     assert rule.panels > PanelRule(family, measures).panels
+    assert_flat_rows(rule._panels)
 
 
 def assert_equals_one_measure_rules(family, measures, cs):
@@ -695,6 +705,7 @@ def test_the_peak_cut_splits_panels_of_several_components_at_one_c(monkeypatch):
 
     def spy(self, c, panels):
         out = cut(self, c, panels)
+        assert_flat_rows(out)
         n = len(self._knots)
         grown.append(int((np.bincount(out.comp, minlength=n)
                           > np.bincount(panels.comp, minlength=n)).sum()))
@@ -872,12 +883,15 @@ def test_a_rule_compiled_by_kernel_group_equals_one_measure_rules(family, specs,
     comps = [comp for m in measures for comp in m.components]
     entries = [_entry(family, comp) for comp in comps]
     for comp, entry in zip(comps, entries):
-        _compiled_fresh(family, [RandomMeasure((comp,))])
+        rule = _compiled_fresh(family, [RandomMeasure((comp,))])
         alone = _entry(family, comp)
         assert (entry is None) == (alone is None), comp
         if entry is not None:
             np.testing.assert_array_equal(entry.knots, alone.knots)
             np.testing.assert_array_equal(entry.weights, alone.weights)
+            # an entry owns its rows: no view keeps the whole compile's weights alive
+            assert entry.weights.base is None and not entry.weights.flags.writeable
+            assert alone.weights.tobytes() == rule._panels.w.tobytes()
     singles = [_compiled_fresh(family, [m]) for m in measures]
     for c in cs:
         got = _outcomes(bulk, [c])[0]

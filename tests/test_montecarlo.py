@@ -106,6 +106,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         StudyConfig(scenario=ExpGammaSpec(0.5, 0.5), n=10, replications=5, seed=0,
                     ci_level=1.2)
+    with pytest.raises(ValueError, match="unknown fit method 'newton'"):
+        StudyConfig(scenario=ExpGammaSpec(0.5, 0.5), n=50, replications=3, seed=1,
+                    method="newton")
 
 
 def test_score_centered_at_limit_both_scenarios():
@@ -120,6 +123,14 @@ def test_score_centered_at_limit_both_scenarios():
 def test_score_check_rejects_tail_scenario():
     with pytest.raises(ValueError):
         score_mean_at_limit(TailScenarioSpec(), draws=100, seed=0)
+
+
+@pytest.mark.parametrize("draws", [0, 1])
+@pytest.mark.parametrize("check", [score_mean_at_limit, verify_m_matrix])
+def test_score_checks_need_two_draws(check, draws):
+    # one draw has no standard error: a ValueError, not a RuntimeWarning and a NaN
+    with pytest.raises(ValueError, match="draws must be at least 2"):
+        check(ExpGammaSpec(0.5, 0.5), draws=draws, seed=0)
 
 
 def test_slope_check_classical_information():
