@@ -1,7 +1,8 @@
 """Count the lines of the Python files in a source directory, and its code lines.
 
 Code lines leave out blank lines, comment-only lines and docstring lines, so
-deleting comments or docstrings does not lower them. Prints the two counts:
+deleting comments or docstrings does not lower them. Prints the two counts,
+of ``src/measurefit`` when no directory is given:
 
     python scripts/source_lines.py src/measurefit
 """
@@ -37,7 +38,10 @@ def counts(text: str) -> tuple[int, int]:
     return text.count("\n"), len(code - _docstring_lines(ast.parse(text)))
 
 
-def main(directory: str) -> None:
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "measurefit"
+
+
+def main(directory: str = str(SOURCE)) -> None:
     totals = [sum(column) for column in zip((0, 0), *(
         counts(path.read_text()) for path in sorted(Path(directory).glob("*.py"))))]
     print(*totals)

@@ -36,7 +36,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .measure import KernelSample, PanelRule, RandomMeasure, integrate
-from .quadrature import DEFAULT_QUAD, QuadratureSpec
+from .quadrature import DEFAULT_QUAD, QuadratureSpec, check_count
 
 Sample = Sequence[RandomMeasure]
 
@@ -74,12 +74,11 @@ class OptimizerConfig:
     fd_step_rel: float = 1e-6
 
     def __post_init__(self) -> None:
-        if not (self.param_tol > 0 and self.objective_tol > 0):  # nan fails too
-            raise ValueError("tolerances must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if not self.fd_step_rel > 0:
-            raise ValueError("fd_step_rel must be positive")
+        if not (0 < self.param_tol < math.inf and 0 < self.objective_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")  # nan fails too
+        check_count("max_iter", self.max_iter, 1)
+        if not 0 < self.fd_step_rel < math.inf:
+            raise ValueError("fd_step_rel must be positive and finite")
         if self.bracket is not None and not self.bracket[0] < self.bracket[1]:
             raise ValueError("bracket must be an increasing pair")
 
@@ -549,8 +548,7 @@ def bootstrap_se(family, sample: Sample, replicates: int, seed: int,
     Every refit after the first success starts from that success's estimate
     (``fit``'s ``start``), which moves an estimate by its rounding only.
     """
-    if replicates < 1:
-        raise ValueError("need at least one bootstrap replicate")
+    check_count("replicates", replicates, 1)
     base = _SampleEvaluator(family, _measures(sample), quad)
     rng = np.random.default_rng(seed)
     estimates = []

@@ -31,7 +31,7 @@ from .quadrature import (
     domain_knots,
     gauss_rule,
     integrate_panels,
-    refine_panels,
+    stop_rule,
 )
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -654,17 +654,6 @@ def closed_form_terms(family, kind: str, c: float, columns) -> tuple:
     return w, z, dz
 
 
-def _split_at(lo: np.ndarray, hi: np.ndarray, knots: np.ndarray):
-    """The mask of panels wider than the knots' spacing, and their pieces (lo, hi, panel)."""
-    inside = np.searchsorted(knots, hi, "left") - np.searchsorted(knots, lo, "right")
-    wide = (inside > 0) & (hi - lo > np.diff(knots).min(initial=math.inf))
-    cuts = [np.concatenate(([a], knots[(knots > a) & (knots < b)], [b]))
-            for a, b in zip(lo[wide], hi[wide])]
-    return (wide, np.concatenate([_NO_KNOTS, *(p[:-1] for p in cuts)]),
-            np.concatenate([_NO_KNOTS, *(p[1:] for p in cuts)]),
-            np.repeat(np.flatnonzero(wide), inside[wide] + 1))
-
-
 def _grouped(pairs) -> dict:
     """The values of ``(key, value)`` pairs listed by key, in order."""
     groups = {}
@@ -673,32 +662,20 @@ def _grouped(pairs) -> dict:
     return groups
 
 
-def _weight_fn(group, kernel):
-    """The weight function of a panel component in ``group``: its kernel's pdf, or sf for a ramp."""
-    return kernel.pdf if group[0] is WeightedDensity else kernel.sf
-
-
 class _Panels(NamedTuple):
     """A rule's panels as one flat table: row i is panel [lo_i, hi_i] of component ``comp[i]``.
 
-    Rows are in component order, component k's from ``starts[k]``. ``t`` holds
-    the node statistic and ``w`` the c-free weights at each row's 21 high-rule
-    and then 10 low-rule Gauss nodes, each a C-contiguous (rows x 31) array, so
-    products over all nodes run on contiguous memory.
+    Rows are in component order, and every component has at least one. ``t``
+    holds the node statistic and ``w`` the c-free weights at each row's 21
+    high-rule and then 10 low-rule Gauss nodes, each a C-contiguous (rows x 31)
+    array, so products over all nodes run on contiguous memory.
     """
 
     comp: np.ndarray
-    starts: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     t: np.ndarray
     w: np.ndarray
-
-    @classmethod
-    def of(cls, comp, lo, hi, t, w) -> _Panels:
-        """The table of rows with t and weights at their nodes, by ``comp``."""
-        starts = np.flatnonzero(np.diff(comp, prepend=-1))  # each component's first row
-        return cls(comp, starts, lo, hi, t, w)
 
 
 class PanelRule:
@@ -744,12 +721,15 @@ class PanelRule:
 
     At every c each panel component's integral is accepted only under the
     rule of ``refine_panels``: summed error ``|high - low|`` within
-    ``max(abs_tol, rel_tol * |integral|)``. A component that fails is
-    bisected with the scalar family density, as in ``integrate``, and keeps
-    its refined panels, with t at their nodes, for later c; where that
-    fails, it is refined once more from its compile-time panels before the
-    error is raised, so a rule's history never makes it fail where
-    ``integrate`` succeeds. No evaluation changes a table in place.
+    ``max(abs_tol, rel_tol * |integral|)``. The components that fail are
+    bisected together, round by round, by that function's rules and its
+    ``stop_rule``, on the node path: only the new halves are built and
+    evaluated, and the rule keeps the refined table for later c. Where a
+    table refined at earlier c breaks the stop rule, the rule drops every
+    refinement, rebuilds the compile-time rows from the knots and refines
+    once more, which gives a fresh rule's values; only a table with nothing
+    to drop raises. So a rule's history never makes it fail where a fresh
+    rule succeeds. No evaluation changes a table in place.
     Under a family whose density peaks inside its support (the normal
     location) the peak knots at c are cut into every panel wider than their
     spacing before the check, since Gauss nodes straddling a narrow peak
@@ -827,9 +807,9 @@ class PanelRule:
         rule._kernels = [x for x, k in zip(self._kernels, kept) if k]
         rule._knots = [x for x, k in zip(self._knots, kept) if k]
         rule._owner = new_slot[self._owner[kept]]
-        comp, _, *columns = self._panels
+        comp, *columns = self._panels
         rows = kept[comp]
-        rule._panels = _Panels.of((np.cumsum(kept) - 1)[comp[rows]], *(x[rows] for x in columns))
+        rule._panels = _Panels((np.cumsum(kept) - 1)[comp[rows]], *(x[rows] for x in columns))
         return rule
 
     def _covers(self, sample: KernelSample) -> bool:
@@ -909,12 +889,10 @@ class PanelRule:
         self._kernels = [(kinds[k], comps[k][2].kernel) for k in kept]
         self._knots = [knots[k] for k in kept]  # the compile-time panels
         self._owner = np.array([comps[k][0] for k in kept], dtype=np.intp)
-        sizes = [len(x) - 1 for x in self._knots]
-        comp = np.repeat(np.arange(len(kept)), sizes)
-        lo = np.concatenate([_NO_KNOTS, *(x[:-1] for x in self._knots)])
-        hi = np.concatenate([_NO_KNOTS, *(x[1:] for x in self._knots)])
+        comp, lo, hi = self._knot_rows()
         t, weights = self._node_rows(comp, lo, hi, np.array(new)[kept]) if kept else _NO_ROWS
-        own = {k: weights[e - n:e] for k, n, e in zip(kept, sizes, np.cumsum(sizes).tolist())}
+        ends = np.cumsum(np.bincount(comp, minlength=len(kept))).tolist()
+        own = {k: weights[s:e] for k, s, e in zip(kept, [0, *ends], ends)}
         for k, (*_, c) in enumerate(comps):
             if new[k]:  # the new rows are the entry's
                 rows = own.get(k, weights[:0]).copy()  # not a view that keeps all weights alive
@@ -922,7 +900,14 @@ class PanelRule:
                 _PANEL_MEMO.setdefault(c, {})[key] = _PanelEntry(knots[k], rows)
             elif k in own:
                 own[k][:] = entries[k].weights
-        self._panels = _Panels.of(comp, lo, hi, t, weights)
+        self._panels = _Panels(comp, lo, hi, t, weights)
+
+    def _knot_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(comp, lo, hi) of the compile-time panels, the rows of ``_knots``."""
+        comp = np.repeat(np.arange(len(self._knots)), [len(x) - 1 for x in self._knots])
+        lo = np.concatenate([_NO_KNOTS, *(x[:-1] for x in self._knots)])
+        hi = np.concatenate([_NO_KNOTS, *(x[1:] for x in self._knots)])
+        return comp, lo, hi
 
     def _group_knots(self, kind, group) -> list[np.ndarray]:
         """The compile-time knots of a kernel group's densities, or ramps with a finite cut."""
@@ -944,23 +929,35 @@ class PanelRule:
         for group, ks in _grouped((self._kernels[k][0], k) for k in weighed).items():
             rows = _EVERY if counts[ks].sum() == len(lo) else np.isin(comp, ks)
             kernel = _column_kernel([self._kernels[k][1] for k in ks], counts[ks])
-            weights[rows] *= _weight_fn(group, kernel)(nodes[rows])
+            weight_fn = kernel.pdf if group[0] is WeightedDensity else kernel.sf  # sf for a ramp
+            weights[rows] *= weight_fn(nodes[rows])
         t, e_h = self.family.node_form(nodes)
         # the weights the rule keeps come last, so the temporaries freed below
         # them leave room for those of its evaluations
         return t, np.multiply(weights, e_h)
 
-    def _joined(self, panels: _Panels, keep, comp, lo, hi) -> _Panels:
+    def _joined(self, panels: _Panels, keep, comp, lo, hi, c=None, part=None):
         """The rows ``keep`` of the panels and new rows (comp_i, lo_i, hi_i), by component.
 
         A component's new rows follow its kept ones: the rows are sorted stably by
-        component, the rows not kept given one past the last and left out.
+        component, the rows not kept given one past the last and left out. ``comp``
+        is nondecreasing. Given ``part`` of the panels at c (``_part``), returns the
+        joined rows' part with them, of which only the new rows' is computed.
         """
-        old_comp, _, *old = panels
+        old_comp, *old = panels
         key = np.concatenate([np.where(keep, old_comp, len(self._knots)), comp])
         order = np.argsort(key, kind="stable")[:len(comp) + np.count_nonzero(keep)]
         new = (comp, lo, hi, *self._node_rows(comp, lo, hi))
-        return _Panels.of(*(np.concatenate([a, b])[order] for a, b in zip((old_comp, *old), new)))
+        joined = _Panels(*(np.concatenate([a, b])[order] for a, b in zip((old_comp, *old), new)))
+        if part is None:
+            return joined
+        return joined, np.concatenate([part, self._part(c, *new[3:])])[order]
+
+    def _part(self, c: float, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """The family density at c times the weight, at nodes of statistic t and weight w."""
+        part = np.exp(self.family.node_log_density(c, t))  # the node density over e^h,
+        part *= w  # which the weights carry
+        return part
 
     @property
     def panels(self) -> int:
@@ -1032,70 +1029,89 @@ class PanelRule:
         return [values, -z * values, (z * z - dz) * values]
 
     def _panel_terms(self, c: float) -> list:
-        """I, I' and I'' of the panel components, cut at c's peak.
+        """I, I' and I'' of the panel components, read off the table ``_accepted`` at c.
 
-        With ``part`` the node density times the weight and s the node score, I'
-        sums part s over the high-rule nodes and I'' sums part s^2 plus score' I.
+        With ``part`` the node density times the weight and s the node score, I
+        sums part over the high-rule nodes, I' sums part s and I'' part s^2 plus
+        score' I. Where a table refined at earlier c fails, every refinement is
+        dropped: the table is rebuilt from the compile-time knots and accepted
+        once more, as a fresh rule's would be.
         """
-        family, quad, h = self.family, self.quad, HIGH_ORDER
-        panels = self._cut_at_peak(c, self._panels)
-        part = np.exp(family.node_log_density(c, panels.t))  # the node density over e^h,
-        part *= panels.w  # which the weights carry
-        high = part[:, :h].sum(axis=1)
-        err = np.abs(high - part[:, h:].sum(axis=1))
-        totals = np.add.reduceat(high, panels.starts)
-        errors = np.add.reduceat(err, panels.starts)
-        tols = np.maximum(quad.abs_tol, quad.rel_tol * np.abs(totals))
-        failing = np.isfinite(errors) & (errors > tols)
-        if not np.isfinite(totals[~failing]).all():
-            raise QuadratureError("integrand produced non-finite values")
-        if failing.any():
-            panels, totals = self._refine(c, panels, np.flatnonzero(failing), totals, high, err)
-            self._panels = panels
-            part = np.exp(family.node_log_density(c, panels.t))  # at the refined nodes
-            part *= panels.w
+        family, h = self.family, HIGH_ORDER
+        try:
+            panels, part, totals, starts = self._accepted(c)
+        except QuadratureError:
+            comp, lo, hi = self._knot_rows()
+            if len(lo) == self.panels:  # no refinement to drop
+                raise
+            self._panels = _Panels(comp, lo, hi, *self._node_rows(comp, lo, hi))
+            panels, part, totals, starts = self._accepted(c)
         score = family.node_score(c, panels.t[:, :h])
         part = np.multiply(part[:, :h], score, out=part[:, :h])  # part s
         score *= part  # part s^2
-        grad, hess = (np.add.reduceat(v.sum(axis=1), panels.starts) for v in (part, score))
+        grad, hess = (np.add.reduceat(v.sum(axis=1), starts) for v in (part, score))
         hess += family.log_density_hess(c) * totals
         return [self._scale * values for values in (totals, grad, hess)]
 
     def _cut_at_peak(self, c: float, panels: _Panels) -> _Panels:
         """The panels with the family's peak knots at c cut into those wider than their spacing."""
-        peak = self.family.peak_knots(c)
-        if not (peak.size and len(panels.lo)):
+        peak, lo, hi = self.family.peak_knots(c), panels.lo, panels.hi
+        if not (peak.size and len(lo)):
             return panels
-        wide, lo, hi, cut = _split_at(panels.lo, panels.hi, peak)
+        inside = np.searchsorted(peak, hi, "left") - np.searchsorted(peak, lo, "right")
+        wide = (inside > 0) & (hi - lo > np.diff(peak).min(initial=math.inf))
         if not wide.any():
             return panels
-        return self._joined(panels, ~wide, panels.comp[cut], lo, hi)
+        cuts = [np.concatenate(([a], peak[(peak > a) & (peak < b)], [b]))
+                for a, b in zip(lo[wide], hi[wide])]
+        return self._joined(panels, ~wide, np.repeat(panels.comp[wide], inside[wide] + 1),
+                            np.concatenate([p[:-1] for p in cuts]),
+                            np.concatenate([p[1:] for p in cuts]))
 
-    def _refine(self, c: float, panels: _Panels, failing: np.ndarray, totals: np.ndarray,
-                high: np.ndarray, err: np.ndarray) -> tuple[_Panels, np.ndarray]:
-        """Bisect the failing components at c; the new panels and every component's total."""
-        family = self.family
-        peak = family.peak_knots(c)
-        totals, kept = totals.copy(), np.ones(len(self._knots), dtype=bool)
-        kept[failing] = False
-        new = []  # the refined components' (comp, lo, hi)
-        for k in failing:
-            g = _weight_fn(*self._kernels[k])
-            s, e = np.searchsorted(panels.comp, (k, k + 1))
-            integrand = lambda x: family.density(c, x) * g(x)
-            try:
-                totals[k], lo, hi = refine_panels(integrand, panels.lo[s:e], panels.hi[s:e],
-                                                  self.quad, (high[s:e], err[s:e]))
-            except QuadratureError:
-                # panels refined at earlier c can stall where the compile-time
-                # panels do not: refine once from those, as ``integrate`` does
-                lo, hi = self._knots[k][:-1], self._knots[k][1:]
-                wide, cut_lo, cut_hi, _ = _split_at(lo, hi, peak)
-                lo = np.concatenate([lo[~wide], cut_lo])
-                hi = np.concatenate([hi[~wide], cut_hi])
-                if e - s == len(lo):  # no earlier refinement to undo
-                    raise
-                totals[k], lo, hi = refine_panels(integrand, lo, hi, self.quad)
-            new.append((np.full(len(lo), k), lo, hi))
-        comp, lo, hi = map(np.concatenate, zip(*new))
-        return self._joined(panels, kept[panels.comp], comp, lo, hi), totals
+    def _accepted(self, c: float) -> tuple:
+        """The table that meets the tolerance at c, its ``_part`` and each component's I.
+
+        The peak cut at c comes first. Then every component is checked as in
+        ``refine_panels``: its high-rule sum is accepted when its summed error
+        ``|high - low|`` is within ``max(abs_tol, rel_tol * |integral|)``. Each
+        round bisects, in every failing component at once, the panels holding
+        more than their share of its tolerance, or else its worst panel, and
+        ``stop_rule`` keeps each component's budget and stall count. Only the
+        halves are built and evaluated; a refined table replaces the rule's.
+        """
+        quad, h, n = self.quad, HIGH_ORDER, len(self._knots)
+        panels = self._cut_at_peak(c, self._panels)
+        part = self._part(c, panels.t, panels.w)
+        prev, stalls, used = np.full(n, math.inf), np.zeros(n, np.intp), np.zeros(n, np.intp)
+        while True:
+            starts = np.searchsorted(panels.comp, np.arange(n))  # each component's first row
+            high = part[:, :h].sum(axis=1)
+            err = np.abs(high - part[:, h:].sum(axis=1))
+            totals = np.add.reduceat(high, starts)
+            errors = np.add.reduceat(err, starts)
+            tols = np.maximum(quad.abs_tol, quad.rel_tol * np.abs(totals))
+            failing = np.isfinite(errors) & (errors > tols)
+            if not np.isfinite(totals[~failing]).all():
+                raise QuadratureError("integrand produced non-finite values")
+            ks = np.flatnonzero(failing)
+            if not ks.size:
+                break
+            rows = np.bincount(panels.comp, minlength=n)  # per component
+            bad = failing[panels.comp] & (err > (tols / (2 * rows))[panels.comp])
+            for k in ks[np.bincount(panels.comp[bad], minlength=n)[ks] == 0]:  # the worst panel
+                bad[starts[k] + np.argmax(err[panels.comp == k])] = True
+            used += np.bincount(panels.comp[bad], minlength=n)
+            for k in ks.tolist():
+                stalls[k] = stop_rule(errors[k], tols[k], prev[k], stalls[k], used[k], quad)
+            prev = errors
+            lo, hi, comp = panels.lo[bad], panels.hi[bad], panels.comp[bad]
+            mid = 0.5 * (lo + hi)
+            # by component and, as in refine_panels, its lower halves before its upper ones
+            halves = np.argsort(np.concatenate([comp, comp]), kind="stable")
+            panels, part = self._joined(panels, ~bad, np.repeat(comp, 2),
+                                        np.concatenate([lo, mid])[halves],
+                                        np.concatenate([mid, hi])[halves], c, part)
+        if used.any():
+            self._panels = panels
+        return panels, part, totals, starts
+

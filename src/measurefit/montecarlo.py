@@ -46,7 +46,7 @@ from .estimator import (
 )
 from .measure import KernelSample, RandomMeasure, closed_form_terms
 from .models import ExponentialRate, NormalLocation
-from .quadrature import DEFAULT_QUAD, QuadratureSpec
+from .quadrature import DEFAULT_QUAD, QuadratureSpec, check_count
 from .tailstudy import TailScenarioSpec, build_bridge_sample, synthesize_claims
 
 Scenario = ExpGammaSpec | NormalNormalSpec | TailScenarioSpec
@@ -64,10 +64,8 @@ class StudyConfig:
     quad: QuadratureSpec = DEFAULT_QUAD
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
+        check_count("n", self.n, 2)
+        check_count("replications", self.replications, 1)
         if not 0.0 < self.ci_level < 1.0:
             raise ValueError("ci_level must lie in (0, 1)")
         if self.method not in (None, "minimize", "zroot"):

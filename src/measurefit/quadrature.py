@@ -23,6 +23,12 @@ class QuadratureError(RuntimeError):
     """Subdivision budget exhausted before reaching the requested tolerance."""
 
 
+def check_count(name: str, value, least: int) -> None:
+    """Raise ValueError unless ``value`` is an integer, Python or numpy, of at least ``least``."""
+    if not (isinstance(value, (int, np.integer)) and value >= least):
+        raise ValueError(f"{name} must be an integer of at least {least}")
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tolerances and budget for measure integration.
@@ -38,10 +44,9 @@ class QuadratureSpec:
     tail_mass: float = 1e-14
 
     def __post_init__(self) -> None:
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):  # nan fails too
+            raise ValueError("quadrature tolerances must be positive and finite")
+        check_count("max_subdivisions", self.max_subdivisions, 1)
         if not 0 < self.tail_mass < 1:
             raise ValueError("tail_mass must be in (0, 1)")
 
@@ -71,19 +76,44 @@ def _panel_estimates(f, lo: np.ndarray, hi: np.ndarray):
     return vals_high, np.abs(vals_high - vals[:, HIGH_ORDER:].sum(axis=1))
 
 
-def refine_panels(f, lo: np.ndarray, hi: np.ndarray, spec: QuadratureSpec,
-                  estimates=None):
+def stop_rule(err, tol, prev_err, stalls: int, used: int, spec: QuadratureSpec) -> int:
+    """The stall count of an integral after a bisection round; raises where its bisection must stop.
+
+    ``err`` and ``tol`` are its summed error estimate and its tolerance before
+    the round, ``prev_err`` the error before the last round (inf before the
+    first), ``stalls`` how many rounds in a row so far left more than 0.9 of
+    the error before them, and ``used`` its subdivisions, this round's
+    included. It raises QuadratureError at the third such round in a row, or
+    where ``used`` exceeds ``max_subdivisions``.
+    """
+    stalls = stalls + 1 if err > 0.9 * prev_err else 0
+    if stalls >= 3:
+        raise QuadratureError(
+            f"error estimate stalled at {err:.3e} (tolerance {tol:.3e}); "
+            "integrand precision is likely the limit"
+        )
+    if used > spec.max_subdivisions:
+        raise QuadratureError(
+            f"needed more than {spec.max_subdivisions} subdivisions "
+            f"(error {err:.3e}, tolerance {tol:.3e})"
+        )
+    return stalls
+
+
+def refine_panels(f, lo: np.ndarray, hi: np.ndarray, spec: QuadratureSpec):
     """Bisect the panels [lo_i, hi_i] until the summed error meets the tolerance.
 
     The integral over the panels is accepted when the summed error estimate
-    ``|high - low|`` is at most ``max(abs_tol, rel_tol * |integral|)``.
-    ``estimates`` are the panels' values and errors from ``_panel_estimates``
-    when the caller already has them. Returns the integral with the final
-    panels ``(lo, hi)``. Raises QuadratureError when the subdivision budget
-    runs out, the error estimate stalls, or the integrand is not finite,
-    rather than returning a silently inaccurate value.
+    ``|high - low|`` is at most ``max(abs_tol, rel_tol * |integral|)``. Each
+    round bisects every panel holding more than its share of that tolerance,
+    or else the worst panel. Returns the integral with the final panels
+    ``(lo, hi)``. Raises QuadratureError where ``stop_rule`` does (the
+    subdivision budget runs out or the error estimate stalls) and where the
+    integrand is not finite, rather than returning a silently inaccurate
+    value. A compiled ``PanelRule`` applies the same rules to many integrals
+    at once; this loop is the reference.
     """
-    vals, errs = _panel_estimates(f, lo, hi) if estimates is None else estimates
+    vals, errs = _panel_estimates(f, lo, hi)
     used = 0
     stalls = 0
     prev_err = math.inf
@@ -95,33 +125,21 @@ def refine_panels(f, lo: np.ndarray, hi: np.ndarray, spec: QuadratureSpec,
             if not np.isfinite(total):
                 raise QuadratureError("integrand produced non-finite values")
             return float(total), lo, hi
-        stalls = stalls + 1 if err > 0.9 * prev_err else 0
-        prev_err = err
-        if stalls >= 3:
-            raise QuadratureError(
-                f"error estimate stalled at {err:.3e} (tolerance {tol:.3e}); "
-                "integrand precision is likely the limit"
-            )
         # bisect every panel holding more than its share of the error budget
         bad = errs > tol / (2 * len(errs))
         if not bad.any():
             bad[np.argmax(errs)] = True
-        n_bad = int(bad.sum())
-        if used + n_bad > spec.max_subdivisions:
-            raise QuadratureError(
-                f"needed more than {spec.max_subdivisions} subdivisions "
-                f"(error {err:.3e}, tolerance {tol:.3e})"
-            )
-        used += n_bad
+        used += int(bad.sum())
+        stalls = stop_rule(err, tol, prev_err, stalls, used, spec)
+        prev_err = err
         b_lo, b_hi = lo[bad], hi[bad]
         b_mid = 0.5 * (b_lo + b_hi)
-        new_lo = np.concatenate([lo[~bad], b_lo, b_mid])
-        new_hi = np.concatenate([hi[~bad], b_mid, b_hi])
         new_vals, new_errs = _panel_estimates(f, np.concatenate([b_lo, b_mid]),
                                               np.concatenate([b_mid, b_hi]))
+        lo = np.concatenate([lo[~bad], b_lo, b_mid])
+        hi = np.concatenate([hi[~bad], b_mid, b_hi])
         vals = np.concatenate([vals[~bad], new_vals])
         errs = np.concatenate([errs[~bad], new_errs])
-        lo, hi = new_lo, new_hi
 
 
 def integrate_panels(f, knots, spec: QuadratureSpec = DEFAULT_QUAD) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 from .estimator import FitError, fit
 from .measure import RandomMeasure, make_dirac, make_gamma_bridge
 from .models import ParetoTail
-from .quadrature import DEFAULT_QUAD, QuadratureSpec
+from .quadrature import DEFAULT_QUAD, QuadratureSpec, check_count
 
 
 @dataclass(frozen=True)
@@ -202,8 +202,7 @@ class TailConfig:
     quad: QuadratureSpec = DEFAULT_QUAD
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ValueError("k must be at least 2")
+        check_count("k", self.k, 2)
         grid = tuple(float(s) for s in self.sigma2_grid)
         if not all(0 < s < math.inf for s in grid):
             raise ValueError("sigma2 grid values must be positive and finite")

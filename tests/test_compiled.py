@@ -302,24 +302,30 @@ def test_closed_form_term_of_a_wide_normal_kernel_holds_across_the_family_peak()
 
 def test_a_stall_from_refined_panels_restarts_from_compile_time(monkeypatch):
     # bisection resumed from panels refined at an earlier c is made to stall;
-    # each such component is refined once more from its compile-time panels
+    # every refinement is dropped and the compile-time panels refined once
+    # more, which gives a fresh rule's values bit for bit
     family = ParetoTail(x0=1.0)
     measures = [make_gamma_bridge(w, w * z, 100.0, "A")
                 for w, z in [(1.1, 1.0), (1.6, 2.5), (3.0, 1.3), (9.0, 4.0), (25.0, 1.05)]]
+    fresh = PanelRule(family, measures)
+    want = fresh.losses(0.075) + fresh.integrals_with_hess(0.075)
     rule = PanelRule(family, measures)
-    compile_time = np.concatenate(rule._knots)
+    compile_time = rule.panels
     rule.integrals(1e-3)
-    refine, resumed = measure.refine_panels, []
+    stop, resumed = measure.stop_rule, []
 
-    def stall_when_resumed(f, lo, hi, spec, estimates=None):
-        if estimates is not None and not np.isin(lo, compile_time).all():
-            resumed.append(len(lo))
+    def stall_when_resumed(*args):
+        if rule.panels > compile_time:
+            resumed.append(rule.panels)
             raise QuadratureError("error estimate stalled (simulated)")
-        return refine(f, lo, hi, spec)
+        return stop(*args)
 
-    monkeypatch.setattr(measure, "refine_panels", stall_when_resumed)
-    assert_matches_oracle(family, measures, [0.075], rule=rule)
+    monkeypatch.setattr(measure, "stop_rule", stall_when_resumed)
+    got = rule.losses(0.075) + rule.integrals_with_hess(0.075)
     assert resumed
+    assert [hexes(*v) for v in got] == [hexes(*v) for v in want]
+    assert rule.panels == fresh.panels
+    assert_matches_oracle(family, measures, [0.075], rule=rule)
 
 
 def test_subdivision_budget_exhaustion_still_raises():
@@ -646,16 +652,73 @@ def test_a_refinement_where_the_peak_cut_applies_keeps_the_cut(monkeypatch):
     family = NormalLocation(sigma1=1.42)
     kernel = GammaKernel(0.8566118788090663, 0.2215712558191765, -2.079533241030404)
     measures = [RandomMeasure((WeightedDensity(1.0, kernel),))]
-    refine, on_cut = PanelRule._refine, []
+    cut, joined, last_cut, on_cut = PanelRule._cut_at_peak, PanelRule._joined, [], []
 
-    def spy(self, c, panels, *args):
-        on_cut.append(len(panels.lo) > self.panels)
-        return refine(self, c, panels, *args)
+    def spy_cut(self, c, panels):
+        out = cut(self, c, panels)
+        last_cut[:] = [len(out.lo) > len(panels.lo)]
+        return out
 
-    monkeypatch.setattr(PanelRule, "_refine", spy)
+    def spy_join(self, panels, keep, *args):
+        if len(args) > 3:  # a refinement round
+            on_cut.append(last_cut[0])
+        return joined(self, panels, keep, *args)
+
+    monkeypatch.setattr(PanelRule, "_cut_at_peak", spy_cut)
+    monkeypatch.setattr(PanelRule, "_joined", spy_join)
     rule = assert_matches_oracle(family, measures, np.linspace(-40.0, 40.0, 81))
     assert any(on_cut)
     assert rule.panels > PanelRule(family, measures).panels
+    assert_flat_rows(rule._panels)
+
+
+def test_an_evaluation_that_refines_calls_the_family_density_at_atoms_only(monkeypatch):
+    # refined panels are evaluated on the node path, by the same exp of the
+    # node log density as the first check; the scalar density serves atoms
+    family = ParetoTail(x0=1.0)
+    measures = [make_dirac(2.0), *(make_gamma_bridge(w, w * z, 100.0, "A")
+                                   for w, z in [(1.1, 1.0), (1.6, 2.5), (9.0, 4.0)])]
+    rule = PanelRule(family, measures)
+    sizes = [rule.panels]
+    density, points = ParetoTail.density, []
+
+    def spy(self, c, x):
+        points.append(np.asarray(x).tolist())
+        return density(self, c, x)
+
+    monkeypatch.setattr(ParetoTail, "density", spy)
+    for c in (1e-3, 0.075, 8.66):
+        rule.losses(c)
+        rule.integrals_with_hess(c)
+        sizes.append(rule.panels)
+    assert sizes[-1] > sizes[0]
+    assert points and all(x in (2.0, [2.0]) for x in points)
+
+
+def test_a_refinement_round_builds_two_rows_per_bisected_panel(monkeypatch):
+    # only the halves of the bisected panels are built; the rows of the
+    # panels kept, and of the components already accepted, are not rebuilt
+    family = ParetoTail(x0=1.0)
+    measures = [make_gamma_bridge(w, w * z, 100.0, "A")
+                for w, z in [(1.1, 1.0), (1.6, 2.5), (3.0, 1.3), (9.0, 4.0), (25.0, 1.05)]]
+    joined, node_rows, built, rounds = PanelRule._joined, PanelRule._node_rows, [], []
+
+    def spy_rows(self, comp, lo, hi, *args):
+        built.append(len(lo))
+        return node_rows(self, comp, lo, hi, *args)
+
+    def spy_join(self, panels, keep, *args):
+        first = len(built)
+        out = joined(self, panels, keep, *args)
+        if len(args) > 3:  # a refinement round
+            rounds.append((2 * np.count_nonzero(~keep), built[first:]))
+        return out
+
+    monkeypatch.setattr(PanelRule, "_node_rows", spy_rows)
+    monkeypatch.setattr(PanelRule, "_joined", spy_join)
+    rule = assert_matches_oracle(family, measures, (1e-3, 0.075, 8.66))
+    assert len(rounds) > 1
+    assert all(rows == [halves] for halves, rows in rounds)
     assert_flat_rows(rule._panels)
 
 
@@ -678,13 +741,14 @@ def test_one_c_refines_components_of_two_kernel_groups_together(monkeypatch):
     family = ParetoTail(x0=1.0)
     measures = [make_gamma_bridge(1.6, 4.0, 100.0, "A"),
                 make_measurement_uncertainty(GammaKernel(0.05, 0.1, 3.0), 0)]
-    refine, groups = PanelRule._refine, []
+    joined, groups = PanelRule._joined, []
 
-    def spy(self, c, panels, failing, *args):
-        groups.append({self._kernels[k][0] for k in failing})
-        return refine(self, c, panels, failing, *args)
+    def spy(self, panels, keep, comp, *args):
+        if len(args) > 2:  # a refinement round: one builder call for every new row
+            groups.append({self._kernels[k][0] for k in comp.tolist()})
+        return joined(self, panels, keep, comp, *args)
 
-    monkeypatch.setattr(PanelRule, "_refine", spy)
+    monkeypatch.setattr(PanelRule, "_joined", spy)
     sizes = PanelRule(family, measures).panels
     rule = assert_equals_one_measure_rules(family, measures, (1e-3, 0.075, 8.66))
     assert {(WeightedDensity, GammaKernel), (CdfRamp, GammaKernel)} in groups

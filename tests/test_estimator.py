@@ -17,7 +17,10 @@ from measurefit import (
     NormalNormalSpec,
     OptimizerConfig,
     ParetoTail,
+    QuadratureSpec,
     RandomMeasure,
+    StudyConfig,
+    TailConfig,
     WeightedDensity,
     amse,
     bootstrap_se,
@@ -445,6 +448,28 @@ def test_optimizer_config_rejects_tolerances_that_are_not_positive(field, value)
     # nan <= 0 is false, so a nan tolerance must fail a check written as not x > 0
     with pytest.raises(ValueError):
         OptimizerConfig(**{field: value})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: OptimizerConfig(param_tol=math.inf),
+    lambda: OptimizerConfig(objective_tol=math.inf),
+    lambda: OptimizerConfig(fd_step_rel=math.inf),
+    lambda: OptimizerConfig(max_iter=2.5),
+    lambda: QuadratureSpec(rel_tol=math.inf),
+    lambda: QuadratureSpec(abs_tol=math.inf),
+    lambda: QuadratureSpec(max_subdivisions=2.5),
+    lambda: StudyConfig(scenario=ExpGammaSpec(0.5, 0.5), n=50.5, replications=2, seed=0),
+    lambda: StudyConfig(scenario=ExpGammaSpec(0.5, 0.5), n=50, replications=2.5, seed=0),
+    lambda: TailConfig(k=2.5),
+    lambda: bootstrap_se(ExponentialRate(), [make_dirac(1.0), make_dirac(2.0)], 2.5, seed=0),
+], ids=["param_tol", "objective_tol", "fd_step_rel", "max_iter", "rel_tol", "abs_tol",
+        "max_subdivisions", "n", "replications", "k", "replicates"])
+def test_settings_reject_infinite_tolerances_and_counts_that_are_not_integers(build):
+    # an infinite param_tol stops the solver at its first step, an infinite
+    # rel_tol accepts every panel, and a count of 2.5 fails deep inside
+    # (range, slicing, the rng) with a TypeError rather than here
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_fit_objective_infinite_everywhere(pareto_family):
