@@ -19,8 +19,10 @@ Print the values of the package under ``--src`` (default: this tree's)::
 
     python scripts/identity.py --src src > after.txt
 
-Compare two printouts, per group: how many values moved, and the largest
-relative move of a float::
+Compare two printouts, per group: how many values moved, the largest
+relative move of a float, the fits' summed evaluation counts (the
+``.iterations`` lines, kept out of the values) in each printout, and how
+many fits took more evaluations in the second::
 
     python scripts/identity.py --compare before.txt after.txt
 """
@@ -184,17 +186,28 @@ def _relative_move(a: str, b: str) -> float | None:
     return abs(x - y) / max(abs(x), abs(y))
 
 
+def _evaluations(values: dict[str, str], keys) -> list[float]:
+    return [float.fromhex(values[k]) for k in sorted(keys)]
+
+
 def compare(before: str, after: str) -> None:
     old, new = _read(before), _read(after)
-    print(f"{'group':<10} {'values':>7} {'moved':>6} {'missing':>8} largest relative move")
+    print(f"{'group':<10} {'values':>7} {'moved':>6} {'missing':>8} {'largest':>12} "
+          f"{'evaluations':>15} {'more':>5}")
     for group in sorted(old.keys() | new.keys()):
         a, b = old.get(group, {}), new.get(group, {})
         keys = a.keys() & b.keys()
-        moved = [k for k in keys if a[k] != b[k]]
+        counts = {k for k in keys if k.endswith(".iterations")}  # evaluations, not values
+        moved = [k for k in keys - counts if a[k] != b[k]]
         moves = [m for m in (_relative_move(a[k], b[k]) for k in moved) if m is not None]
         largest = f"{max(moves):.3g}" if moves else ("-" if not moved else "n/a (hashes)")
-        print(f"{group:<10} {len(keys):>7} {len(moved):>6} "
-              f"{len(a.keys() ^ b.keys()):>8} {largest}")
+        evaluations = more = "-"
+        if counts:
+            x, y = _evaluations(a, counts), _evaluations(b, counts)
+            evaluations = f"{sum(x):.0f} -> {sum(y):.0f}"
+            more = str(sum(j > i for i, j in zip(x, y)))
+        print(f"{group:<10} {len(keys - counts):>7} {len(moved):>6} "
+              f"{len(a.keys() ^ b.keys()):>8} {largest:>12} {evaluations:>15} {more:>5}")
 
 
 def main() -> None:

@@ -286,6 +286,29 @@ def _step(p: _Point, positive: bool) -> float:
     return -_target(p, positive) / slope if math.isfinite(slope) and slope != 0.0 else math.nan
 
 
+def _converged(p: _Point, step: float, config: OptimizerConfig) -> bool:
+    """Whether a Newton step from p is within ``param_tol`` plus 4 eps relative."""
+    return abs(step) <= config.param_tol + 4.0 * _EPS * abs(p.c)
+
+
+def _is_root(p: _Point, ordered: bool) -> bool:
+    """Whether p is an exact zero of sum Z that the method takes as its root.
+
+    ``zroot`` takes any. ``minimize`` (``ordered``) takes only a rise
+    through zero, Z' > 0: a zero where sum Z falls is a loss maximum, such
+    as the centre of a symmetric sample with two modes.
+    """
+    return p.z == 0.0 and (not ordered or p.dz > 0.0)
+
+
+def _sign(p: _Point) -> float:
+    """The sign of sum Z at p, with a zero ``_is_root`` did not take as positive.
+
+    Such a zero closes a bracket from above: the rise through zero lies below it.
+    """
+    return 1.0 if p.z >= 0.0 else -1.0
+
+
 def _newton(evaluator: _SampleEvaluator, a: float, pa: _Point | None, b: float, pb: _Point | None,
             positive: bool, config: OptimizerConfig, ordered: bool):
     """Safeguarded Newton for the root of the summed score between a and b.
@@ -303,22 +326,24 @@ def _newton(evaluator: _SampleEvaluator, a: float, pa: _Point | None, b: float, 
     Returns the converged point and whether it converged, or None where the
     ends do not bracket a sign change (with ``ordered``, a rise through zero,
     so a root of a loss maximum is not taken) or no finite point turns up
-    between two ends that are not finite.
+    between two ends that are not finite. An exact zero of sum Z is the
+    root only where ``_is_root`` takes it; any other counts as positive.
     """
     for p in (pa, pb):
-        if p is not None and p.z == 0.0:
+        if p is not None and _is_root(p, ordered):
             return p, True
-    low = -1.0 if pa is None else math.copysign(1.0, pa.z)
-    high = 1.0 if pb is None else math.copysign(1.0, pb.z)
+    low = -1.0 if pa is None else _sign(pa)
+    high = 1.0 if pb is None else _sign(pb)
     if low == high or (ordered and low > 0):
         return None
     point = newton_from = None
     for _ in range(config.max_iter):
         ends = sorted((p for p in (pa, pb) if p is not None),
                       key=lambda p: abs(_target(p, positive)))
-        steps = [(p, _step(p, positive)) for p in ends]
+        # a zero left in the bracket is a loss maximum, whose Newton step stays put
+        steps = [(p, _step(p, positive)) for p in ends if p.z != 0.0]
         for p, step in steps:
-            if abs(step) <= config.param_tol + 4.0 * _EPS * abs(p.c):
+            if _converged(p, step, config):
                 # the loss moves by about step^2 * sum Z' over the last step,
                 # far below its rounding, so p's loss stands for the estimate's
                 return p._replace(c=p.c + step), True
@@ -346,9 +371,9 @@ def _newton(evaluator: _SampleEvaluator, a: float, pa: _Point | None, b: float, 
                 a = c
             else:
                 b = c
-        elif point.z == 0.0:
+        elif _is_root(point, ordered):
             return point, True
-        elif math.copysign(1.0, point.z) == low:
+        elif _sign(point) == low:
             a, pa = c, point
         else:
             b, pb = c, point
@@ -383,31 +408,38 @@ def _expand(evaluator: _SampleEvaluator, pa: _Point, pb: _Point, positive: bool,
     )
 
 
-def _warm_bracket(evaluator: _SampleEvaluator, start: float, a: float, b: float,
-                  positive: bool):
-    """A bracket of the summed score's sign change found from a pilot inside (a, b).
+def _warm_solve(evaluator: _SampleEvaluator, start: float, a: float, b: float,
+                positive: bool, config: OptimizerConfig, ordered: bool):
+    """``_newton`` on a bracket of the summed score's sign change found from a pilot inside (a, b).
 
     Steps from the pilot by its Newton step, doubling the step from each
     new point until sum Z changes sign: the bracketing stage of the
     safeguarded Newton in Press et al., *Numerical Recipes*, 3rd ed., 9.4.
-    Returns the bracket as ``(a, pa, b, pb)``, or None where a point is not
-    finite, the step is undefined or it reaches an end of (a, b).
+    A point on the way whose own Newton step is within ``param_tol`` (plus
+    4 eps relative) is converged, as an end of ``_newton``'s bracket would
+    be, where the method takes a root there (under ``minimize`` sum Z must
+    rise). Returns what ``_newton`` returns, or None where a point is not
+    finite, a step is undefined or zero, or it reaches an end of (a, b).
     """
     p = evaluator.point(start)
     if p is None:
         return None
-    if p.z == 0.0:
-        return p.c, p, p.c, p
+    if _is_root(p, ordered):
+        return p, True
     step = _step(p, positive)
     for _ in range(60):  # as many doublings as _expand's growths
+        own = _step(p, positive)
+        if _converged(p, own, config) and (not ordered or p.dz > 0.0):
+            return p._replace(c=p.c + own), True
         c = p.c + step
-        if not (math.isfinite(c) and a < c < b):
+        if not (math.isfinite(c) and a < c < b) or c == p.c:
             return None
         q = evaluator.point(c)
         if q is None:
             return None
-        if q.z == 0.0 or math.copysign(1.0, q.z) != math.copysign(1.0, p.z):
-            return (p.c, p, c, q) if step > 0 else (c, q, p.c, p)
+        if _is_root(q, ordered) or _sign(q) != _sign(p):
+            bracket = (p.c, p, c, q) if step > 0 else (c, q, p.c, p)
+            return _newton(evaluator, *bracket, positive, config, ordered)
         p, step = q, 2.0 * step
     return None
 
@@ -457,12 +489,17 @@ def fit(family, sample: Sample, config: OptimizerConfig = DEFAULT_CONFIG,
     domain boundary, starting from the finite valley of the loss where the
     score is undefined. The two agree at interior optima.
 
-    A pilot ``start`` strictly inside the clipped search bracket is tried
-    first: Newton steps from it, doubled until sum Z changes sign, give the
-    bracket (``_warm_bracket``). Where they find no finite point or reach
-    an end of the search bracket, or Newton finds no root in their bracket,
-    the fit runs as without a pilot, so the bracket ends stay the walls and
-    a pilot moves an estimate only by its rounding.
+    Every fit first tries a pilot: ``start`` where it lies strictly inside
+    the clipped search bracket, else the bracket's midpoint (geometric on a
+    positive domain, so 1 for the default (1e-3, 1e3), and 0 for the normal
+    family's (-1e3, 1e3)). Newton steps from the pilot, doubled until sum Z
+    changes sign, give the bracket (``_warm_solve``). Where they find no
+    finite point or reach an end of the search bracket, or Newton finds no
+    root in their bracket, the fit runs from the walls of the search bracket
+    as described above, so a boundary optimum is still that end and a pilot
+    moves an estimate only by its rounding. Under ``minimize`` an exact zero
+    of sum Z is the estimate only where sum Z rises through it, never at a
+    loss maximum.
     """
     if method not in ("minimize", "zroot"):
         raise ValueError(f"unknown fit method {method!r}")
@@ -473,11 +510,9 @@ def fit(family, sample: Sample, config: OptimizerConfig = DEFAULT_CONFIG,
     a, b = _clip_bracket(family, config.bracket or family.default_bracket())
     positive = family.param_bounds[0] >= 0
     ordered = method == "minimize"
-    solved = None
-    if start is not None and a < start < b:
-        bracket = _warm_bracket(evaluator, start, a, b, positive)
-        if bracket is not None:
-            solved = _newton(evaluator, *bracket, positive, config, ordered)
+    if start is None or not a < start < b:  # nan fails too
+        start = _midpoint(a, b, positive)
+    solved = _warm_solve(evaluator, start, a, b, positive, config, ordered)
     if solved is None:
         solved = _cold_solve(evaluator, a, b, positive, config, ordered)
     point, converged = solved
@@ -545,8 +580,10 @@ def bootstrap_se(family, sample: Sample, replicates: int, seed: int,
     it with ``PanelRule.take``, which gives the values of a fresh compile.
     After a ``fit`` on the same measures that compile reads its panels from
     the entries the fit left in the panel memo.
-    Every refit after the first success starts from that success's estimate
-    (``fit``'s ``start``), which moves an estimate by its rounding only.
+    The first refit starts, as every fit without a pilot does, at the
+    midpoint of the search bracket; every refit after the first success
+    starts from that success's estimate (``fit``'s ``start``). A pilot moves
+    an estimate by its rounding only.
     """
     check_count("replicates", replicates, 1)
     base = _SampleEvaluator(family, _measures(sample), quad)

@@ -31,6 +31,7 @@ from .quadrature import (
     domain_knots,
     gauss_rule,
     integrate_panels,
+    refine_panels,
     stop_rule,
 )
 
@@ -555,13 +556,18 @@ def _knots_integral(family, c: float, knots: np.ndarray, weight_fn,
     The family's peak knots at c that fall inside are added: a kernel much
     wider than the family puts the family's peak inside one wide panel, where
     the Gauss nodes can miss it. These knots depend on c, so the
-    compile-time knots leave them out.
+    compile-time knots leave them out. Without any inside, the knots are
+    ``domain_knots``' own, already sorted and free of repeats, and bound the
+    panels as they are.
     """
     if not len(knots):
         return 0.0
+    f = lambda x: family.density(c, x) * weight_fn(x)
     peak = family.peak_knots(c)
-    knots = np.concatenate([knots, peak[(peak > knots[0]) & (peak < knots[-1])]])
-    return integrate_panels(lambda x: family.density(c, x) * weight_fn(x), knots, quad)
+    peak = peak[(peak > knots[0]) & (peak < knots[-1])]
+    if len(peak):
+        return integrate_panels(f, np.concatenate([knots, peak]), quad)
+    return refine_panels(f, knots[:-1], knots[1:], quad)[0]
 
 
 def _density_component_integral(family, c: float, comp: WeightedDensity,

@@ -234,7 +234,8 @@ def tail_curve(subsample, x0: float, config: TailConfig) -> CurveResult:
     Endpoints bridge to the two baselines: a vanishing expert variance
     recovers the imputation estimate, a huge one the survival estimate.
     Interior values need not stay between the two. Per-point fit failures
-    leave gaps instead of aborting the curve.
+    leave gaps instead of aborting the curve. Each fit starts, as any fit
+    without a pilot, at the midpoint of the search bracket.
     """
     records = list(subsample)
     family = ParetoTail(x0)

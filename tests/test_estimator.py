@@ -37,8 +37,9 @@ from measurefit import (
     z_value,
 )
 from measurefit import estimator
-from measurefit.estimator import _SampleEvaluator
+from measurefit.estimator import DEFAULT_CONFIG, _SampleEvaluator
 from measurefit.measure import PanelRule
+from measurefit.quadrature import DEFAULT_QUAD
 from measurefit.tailstudy import build_bridge_sample, synthesize_claims
 
 
@@ -323,12 +324,42 @@ def test_minimize_returns_the_bracket_end_at_a_boundary_optimum(exp_family):
 @pytest.mark.parametrize("bracket", [(5.0, 10.0), (0.0, 5.0)])
 def test_an_exact_zero_score_at_a_bracket_end_is_the_estimate(method, bracket):
     # atoms at 4 and 6 put sum Z = 0 exactly at c = 5, one end of either
-    # bracket: the solver returns that end after evaluating the two ends
+    # bracket: the Newton step from the midpoint lands on that end, so the
+    # solver evaluates the two ends and returns the one at the zero
     sample = [make_dirac(4.0), make_dirac(6.0)]
     res = fit(NormalLocation(1.0), sample, OptimizerConfig(bracket=bracket), method=method)
     assert res.estimate == 5.0
     assert res.converged
-    assert res.iterations == 2
+    assert res.iterations == 3  # the midpoint, then both ends
+
+
+def _solve_from_the_walls(family, sample, method, config=DEFAULT_CONFIG):
+    """``fit``'s solve without its pilot: ``_cold_solve`` from the clipped search bracket's ends.
+
+    Returns the converged point and the number of evaluations it took.
+    """
+    evaluator = _SampleEvaluator(family, list(sample), DEFAULT_QUAD)
+    a, b = estimator._clip_bracket(family, config.bracket or family.default_bracket())
+    point, converged = estimator._cold_solve(evaluator, a, b, family.param_bounds[0] >= 0,
+                                             config, method == "minimize")
+    assert converged
+    return point, evaluator.calls
+
+
+def test_minimize_takes_no_loss_maximum_where_the_summed_score_is_exactly_zero():
+    # each measure puts atoms at -5 and 5, so sum Z is exactly 0 at c = 0, the
+    # midpoint of the default bracket, where the loss has its maximum between
+    # minima at -5 and 5 (up to 1e-20); zroot takes any root, that one too
+    family = NormalLocation(1.0)
+    measure = RandomMeasure((DiracAtom(-5.0), DiracAtom(5.0)))
+    sample = [measure, measure]
+    res = fit(family, sample, method="minimize", compute_sandwich=False)
+    walls, _ = _solve_from_the_walls(family, sample, "minimize")
+    for estimate, objective in ((res.estimate, res.objective), (walls.c, walls.w)):
+        assert abs(estimate) == pytest.approx(5.0, abs=1e-9)
+        loss = -generalized_loglik(family, estimate, sample)
+        assert objective == pytest.approx(loss, rel=1e-12)
+    assert fit(family, sample, method="zroot", compute_sandwich=False).estimate == 0.0
 
 
 class _Scores:
@@ -391,6 +422,7 @@ _PILOT_SAMPLES = [(_exp_censored_sample, 3), (_claims_bridge_sample, 7),
 def test_a_fit_from_a_pilot_equals_the_cold_fit(build, seed, method):
     family, sample = build(seed)
     cold = fit(family, sample, method=method, compute_sandwich=False)
+    _, walls = _solve_from_the_walls(family, sample, method)
     for offset in (-0.4, -1e-3, 1e-3, 0.5, 3.0):
         warm = fit(family, sample, method=method, compute_sandwich=False,
                    start=cold.estimate * (1.0 + offset))
@@ -398,15 +430,75 @@ def test_a_fit_from_a_pilot_equals_the_cold_fit(build, seed, method):
         assert warm.objective == pytest.approx(cold.objective, rel=1e-12, abs=0)
         if abs(offset) < 0.01:  # a pilot near the answer saves the bracket ends
             # c * sum Z is linear in c for exponential atoms and tails, so one
-            # Newton step from a cold bracket end is already exact there
+            # Newton step from a bracket end is already exact there
             if build is _exp_censored_sample:
-                assert warm.iterations <= cold.iterations
+                assert warm.iterations <= walls
             else:
-                assert warm.iterations < cold.iterations
+                assert warm.iterations < walls
 
 
 @pytest.mark.parametrize("build, seed", _PILOT_SAMPLES)
-def test_a_pilot_at_or_outside_the_bracket_runs_the_cold_fit(build, seed):
+@pytest.mark.parametrize("method", ["minimize", "zroot"])
+def test_the_default_fit_equals_the_fit_from_the_walls(build, seed, method):
+    # the midpoint pilot moves no estimate beyond rounding and costs no evaluation
+    family, sample = build(seed)
+    res = fit(family, sample, method=method, compute_sandwich=False)
+    walls, calls = _solve_from_the_walls(family, sample, method)
+    assert res.estimate == pytest.approx(walls.c, rel=1e-12, abs=0)
+    assert res.objective == pytest.approx(walls.w, rel=1e-12, abs=0)
+    assert res.iterations <= calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    censored=st.floats(0.0, 0.9),
+    below=st.floats(0.005, 4.0),
+    above=st.floats(0.005, 4.0),
+    method=st.sampled_from(["minimize", "zroot"]),
+)
+def test_a_censored_exponential_fit_from_the_midpoint_equals_the_fit_from_the_walls(
+        seed, n, censored, below, above, method):
+    # exponential draws, each censored with probability ``censored`` (at least
+    # one settled), inside a bracket that holds the estimate d / sum x, its ends
+    # 10^below under and 10^above over it
+    rng = np.random.default_rng(seed)
+    xs = rng.exponential(2.0, size=n)
+    settled = rng.random(n) >= censored
+    settled[0] = True
+    sample = [make_right_censoring(float(x), int(s)) for x, s in zip(xs, settled)]
+    mle = settled.sum() / xs.sum()
+    config = OptimizerConfig(bracket=(mle / 10.0**below, mle * 10.0**above))
+    res = fit(ExponentialRate(), sample, config, method=method, compute_sandwich=False)
+    walls, calls = _solve_from_the_walls(ExponentialRate(), sample, method, config)
+    assert res.estimate == pytest.approx(walls.c, rel=1e-12, abs=0)
+    assert res.objective == pytest.approx(walls.w, rel=1e-12, abs=0)
+    assert res.iterations <= calls
+
+
+@pytest.mark.parametrize("family, bracket, first", [
+    (ExponentialRate(), (1e-2, 1e2), math.sqrt(1e-2) * math.sqrt(1e2)),
+    (NormalLocation(1.0), (-2.0, 20.0), 9.0),
+])
+def test_a_fit_without_a_pilot_evaluates_the_bracket_midpoint_first(monkeypatch, family, bracket,
+                                                                   first):
+    # geometric on a positive domain, arithmetic otherwise
+    seen = []
+
+    class Recording(_SampleEvaluator):
+        def point(self, c):
+            seen.append(c)
+            return super().point(c)
+
+    monkeypatch.setattr(estimator, "_SampleEvaluator", Recording)
+    sample = [make_dirac(x) for x in (0.5, 1.0, 4.0)]
+    fit(family, sample, OptimizerConfig(bracket=bracket), compute_sandwich=False)
+    assert seen[0] == first
+
+
+@pytest.mark.parametrize("build, seed", _PILOT_SAMPLES)
+def test_a_pilot_at_or_outside_the_bracket_fits_as_without_a_pilot(build, seed):
     family, sample = build(seed)
     config = OptimizerConfig(bracket=(-2.0, 20.0) if family.param_bounds[0] < 0 else (0.1, 20.0))
     cold = fit(family, sample, config, compute_sandwich=False)
@@ -415,15 +507,16 @@ def test_a_pilot_at_or_outside_the_bracket_runs_the_cold_fit(build, seed):
 
 
 def test_a_pilot_keeps_a_boundary_optimum_at_the_bracket_end(exp_family):
-    # the optimum, rate 2, lies below the bracket; the pilot's Newton step
-    # leaves the bracket, so the fit runs cold and returns the end
+    # the optimum, rate 2, lies below the bracket; the Newton step from the
+    # pilot, or from the midpoint without one, leaves the bracket, so both
+    # fits run from the walls and return the end
     sample = [make_dirac(x) for x in (0.25, 0.5, 0.75)]
     config = OptimizerConfig(bracket=(5.0, 10.0))
     cold = fit(exp_family, sample, config, compute_sandwich=False)
     warm = fit(exp_family, sample, config, compute_sandwich=False, start=7.0)
     assert warm.estimate == cold.estimate == 5.0
     assert warm.objective == cold.objective
-    assert warm.iterations == cold.iterations + 1  # the pilot
+    assert warm.iterations == cold.iterations  # each makes one pilot evaluation
 
 
 def test_fit_finds_a_narrow_valley_off_the_bracket_center():

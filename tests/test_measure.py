@@ -24,6 +24,8 @@ from measurefit import (
     make_right_censoring,
     total_mass,
 )
+from measurefit.measure import density_knots
+from measurefit.quadrature import DEFAULT_QUAD, integrate_panels
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +152,24 @@ def test_integrate_resolves_the_family_peak_under_a_wide_normal_kernel():
     for c in np.linspace(-60.0, 60.0, 241):
         exact = math.exp(-0.5 * (c / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
         assert integrate(family, c, measure) == pytest.approx(exact, rel=1e-9), c
+
+
+@pytest.mark.parametrize("family, comp, c", [
+    # a claims bridge's density component: the Pareto family has no peak knots
+    (ParetoTail(1.0), make_gamma_bridge(2.0, 30.0, 0.5, "A").components[1], 1.3),
+    # the normal family's peak knots at c fall inside the wide kernel's panels
+    (NormalLocation(1.3), WeightedDensity(1.0, NormalKernel(0.0, 1000.0)), -35.0),
+])
+def test_integrate_equals_integrate_panels_on_the_same_knots(family, comp, c):
+    # integrate skips integrate_panels' sort where no peak knot falls inside;
+    # the value must not move by a bit
+    knots = density_knots(family, [comp], comp.kernel, DEFAULT_QUAD)[0]
+    peak = family.peak_knots(c)
+    inside = peak[(peak > knots[0]) & (peak < knots[-1])]
+    assert bool(len(inside)) == isinstance(family, NormalLocation)
+    f = lambda x: family.density(c, x) * comp.kernel.pdf(x)
+    expected = comp.weight * integrate_panels(f, np.concatenate([knots, inside]))
+    assert integrate(family, c, RandomMeasure((comp,))) == expected
 
 
 def test_integrate_rejects_bad_parameter(exp_family):
